@@ -15,14 +15,10 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
+from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .mining import AnySequence, common_matrix, seq_to_matrix
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+from .mining import common_matrix, seq_to_matrix
+from .sequences import AnySequence
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ def dbscan(
     if not isinstance(min_samples, int) or min_samples < 1:
         raise ValueError("min_samples must be a positive integer")
     n = len(pts)
-    radius = _exact(eps)
+    radius = exact_fraction(eps)
     dist = _distance_table(pts)
     neighbors = [
         [j for j in range(n) if dist[i][j] <= radius] for i in range(n)
@@ -129,7 +125,7 @@ class Dendrogram:
 
     def __post_init__(self):
         merges = tuple(
-            (int(a), int(b), _exact(h)) for a, b, h in self.merges
+            (int(a), int(b), exact_fraction(h)) for a, b, h in self.merges
         )
         object.__setattr__(self, "merges", merges)
         if self.n_leaves < 1:
@@ -189,7 +185,7 @@ def cut(d: Dendrogram, threshold) -> list[list[int]]:
 
     Returns sorted leaf-index lists, ordered by their smallest member.
     """
-    limit = _exact(threshold)
+    limit = exact_fraction(threshold)
     members = {i: [i] for i in range(d.n_leaves)}
     for k, (a, b, h) in enumerate(d.merges):
         if h > limit:

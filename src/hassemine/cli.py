@@ -20,6 +20,7 @@ import sys
 from .baselines import MatrixPointSet, cluster_common_matrices, cut, dbscan, hierarchical
 from .enumeration import enumerate_category
 from .errors import HassemineError
+from .estimators import _assignment
 from .game import corrupt_sequences, simulate, v1_config, v2_config
 from .graphs import Digraph, LabelTable, to_dot, transitive_reduction
 from .io import dump_sequences, episode_row, load_sequences, save_matrix_csv
@@ -155,16 +156,9 @@ def cmd_baseline(args) -> int:
             raise ValueError("--algo hier needs --threshold")
         clusters = cut(hierarchical(points), args.threshold)
         noise = []
-    assignment = {}
-    for cluster_id, members in enumerate(clusters):
-        for index in members:
-            assignment[index] = cluster_id
-    for index in noise:
-        assignment[index] = -1
     writer = csv.writer(sys.stdout)
     writer.writerow(("index", "cluster"))
-    for index in range(len(points.points)):
-        writer.writerow((index, assignment[index]))
+    writer.writerows(enumerate(_assignment(clusters, noise, len(points))))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         matrices = cluster_common_matrices(clusters, records.sequences, labels)

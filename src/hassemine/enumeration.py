@@ -16,6 +16,7 @@ from .graphs import (
     Digraph,
     LabelTable,
     _bit_indices,
+    _pack_rows,
     _reduction_rows,
     path_matrix,
 )
@@ -75,7 +76,9 @@ def _strict_orders(m: int) -> tuple[tuple[int, ...], ...]:
 class CategoryRJ:
     """All quasi-skeleton graphs on one label set, in canonical order.
 
-    graphs[i] and path_matrices[i] are parallel; the canonical order is
+    graphs[i], path_matrices[i] and flats[i] are parallel; flats[i] is the
+    path matrix packed into one int (entry (i, j) at bit m*i + j), so that
+    H generalizes G iff flats[H] & ~flats[G] == 0. The canonical order is
     ascending lexicographic on the flattened path matrix. Generalization
     up-sets (the morphism relation) are materialized lazily per graph.
     Instances are immutable and safe to share.
@@ -92,9 +95,7 @@ class CategoryRJ:
         self.labels = labels
         self.path_matrices = tuple(BoolMatrix(labels, rows) for rows in orders)
         self.graphs = tuple(Digraph(labels, _reduction_rows(rows)) for rows in orders)
-        self._flat = tuple(
-            sum(row << (m * i) for i, row in enumerate(rows)) for rows in orders
-        )
+        self.flats = tuple(_pack_rows(rows, m) for rows in orders)
         self._index = {rows: i for i, rows in enumerate(orders)}
         self._upsets: dict[int, tuple[int, ...]] = {}
 
@@ -116,9 +117,9 @@ class CategoryRJ:
         """Indices of every generalization of graph i (morphism i -> j)."""
         cached = self._upsets.get(i)
         if cached is None:
-            flat_i = self._flat[i]
+            flat_i = self.flats[i]
             cached = tuple(
-                j for j, flat_j in enumerate(self._flat) if flat_j & ~flat_i == 0
+                j for j, flat_j in enumerate(self.flats) if flat_j & ~flat_i == 0
             )
             self._upsets[i] = cached
         return cached

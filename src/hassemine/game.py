@@ -28,10 +28,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidPolicy
+from .exact import exact_fraction
 from .sequences import EventSequence
 from .graphs import LabelTable
 
@@ -441,10 +441,7 @@ def corrupt_sequences(
     ops: Iterable[str] = ("swap", "delete", "insert"),
 ) -> list[EventSequence]:
     """Mutate ceil(fraction * n) of the sequences, one op each, seeded."""
-    if isinstance(fraction, float):
-        frac = Fraction(str(fraction))
-    else:
-        frac = Fraction(fraction)
+    frac = exact_fraction(fraction)
     if not 0 <= frac <= 1:
         raise ValueError(f"corruption fraction {fraction!r} outside [0, 1]")
     opset = tuple(sorted(set(ops)))

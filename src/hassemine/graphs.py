@@ -170,6 +170,17 @@ def _bit_indices(x: int) -> Iterator[int]:
         x ^= low
 
 
+def _pack_rows(rows: Iterable[int], m: int) -> int:
+    """One int holding every row: entry (i, j) at bit m*i + j.
+
+    Containment of relations is then one mask test: a <= b iff a & ~b == 0.
+    """
+    packed = 0
+    for i, row in enumerate(rows):
+        packed |= row << (m * i)
+    return packed
+
+
 def _closure_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Reachability by paths of length >= 1 (bitset Warshall)."""
     rs = list(rows)

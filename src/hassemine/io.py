@@ -1,4 +1,4 @@
-"""File formats: JSONL sequence files, CSV matrix files, DOT export.
+"""File formats: JSONL sequence files and CSV matrix files.
 
 A sequence file is JSON Lines: an optional header record declaring the
 event universe, then one record per sequence.
@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
+from .errors import LabelNotInUniverse
 from .game import Episode
 from .graphs import BoolMatrix, LabelTable
 from .sequences import EventSequence
@@ -31,7 +33,7 @@ class SequenceRecords:
     table: LabelTable
     rows: tuple[dict, ...]
 
-    @property
+    @cached_property
     def sequences(self) -> tuple[EventSequence, ...]:
         return tuple(
             EventSequence(self.table, tuple(row["events"])) for row in self.rows
@@ -76,34 +78,67 @@ def save_episodes(path, episodes: Iterable[Episode]) -> None:
 
 
 def parse_sequences(text: str, universe=None) -> SequenceRecords:
-    """Parse sequence-file text; `universe` overrides any header record."""
+    """Parse sequence-file text; `universe` overrides any header record.
+
+    A malformed line raises ValueError naming its 1-based line number:
+    invalid JSON, a record that is not an object, a second header, a header
+    or events value that is not a list of strings, a missing events field,
+    a label other than the integers 0 and 1 (true and 1.0 included), or an
+    event outside the universe.
+    """
     header_table = None
     rows = []
+    numbers = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"line {number}: invalid JSON at column {exc.colno}: {exc.msg}"
+            ) from None
         if not isinstance(record, dict):
             raise ValueError(f"line {number}: expected a JSON object")
         if "universe" in record and "events" not in record:
             if header_table is not None:
                 raise ValueError(f"line {number}: duplicate universe header")
-            header_table = LabelTable(tuple(record["universe"]))
+            labels = record["universe"]
+            if type(labels) is not list or not all(type(x) is str for x in labels):
+                raise ValueError(f"line {number}: universe must be a list of strings")
+            try:
+                header_table = LabelTable(tuple(labels))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
             continue
         if "events" not in record:
             raise ValueError(f"line {number}: sequence record lacks events")
+        if type(record["events"]) is not list:
+            raise ValueError(f"line {number}: events must be a list of strings")
         label = record.get("label")
-        if label not in (None, 0, 1):
+        if label is not None and (type(label) is not int or label not in (0, 1)):
             raise ValueError(f"line {number}: label must be 0 or 1, got {label!r}")
         rows.append(record)
+        numbers.append(number)
     if universe is not None:
         table = LabelTable(tuple(universe))
     elif header_table is not None:
         table = header_table
     else:
         raise ValueError("no universe: add a header record or pass one explicitly")
+    sequences = []
+    for number, row in zip(numbers, rows):
+        # Against a universe of strings, a hashable non-string event fails
+        # the universe lookup and an unhashable one raises TypeError there,
+        # so this one pass checks the event types as well.
+        try:
+            sequences.append(EventSequence(table, tuple(row["events"])))
+        except LabelNotInUniverse as exc:
+            raise LabelNotInUniverse(f"line {number}: {exc}") from None
+        except TypeError:
+            raise ValueError(f"line {number}: events must be a list of strings") from None
     records = SequenceRecords(table, tuple(rows))
-    records.sequences  # validates every event token against the universe
+    object.__setattr__(records, "sequences", tuple(sequences))
     return records
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Iterable, Union
+from typing import Iterable
 
 from .enumeration import enumerate_category
 from .errors import (
@@ -27,10 +27,9 @@ from .errors import (
     LabelNotInUniverse,
     MissingClass,
 )
-from .graphs import BoolMatrix, LabelTable, _bit_indices
-from .sequences import EventSequence, SubsetSequence
-
-AnySequence = Union[EventSequence, SubsetSequence]
+from .exact import exact_fraction
+from .graphs import BoolMatrix, LabelTable, _bit_indices, _pack_rows
+from .sequences import AnySequence
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class ClusterOutput:
 
 def _threshold_fraction(t) -> Fraction:
     try:
-        frac = Fraction(str(t)) if isinstance(t, float) else Fraction(t)
+        frac = exact_fraction(t)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InvalidThreshold(f"threshold {t!r} is not a number") from exc
     if frac < 0 or frac > 100:
@@ -144,11 +143,43 @@ def _threshold_fraction(t) -> Fraction:
     return frac
 
 
-def _flat(rows: tuple[int, ...], m: int) -> int:
-    packed = 0
-    for i, row in enumerate(rows):
-        packed |= row << (m * i)
-    return packed
+def _undominated(candidates: list[tuple[int, ...]], flats) -> list[int]:
+    """Indices of the candidates that no other candidate dominates.
+
+    a dominates b iff every member ha of a has a generalization hb in b
+    (flats[hb] & ~flats[ha] == 0), i.e. a lies inside up_b, the members of
+    U (all candidates' members) that have a generalization in b. b is kept
+    iff the holders of the members outside up_b, with b itself, are every
+    candidate. The candidates must be pairwise distinct sets: then "every
+    candidate other than b" is "every index other than b".
+    """
+    members = sorted({h for cand in candidates for h in cand})
+    slot = {h: k for k, h in enumerate(members)}
+    holders = [0] * len(members)
+    for i, cand in enumerate(candidates):
+        for h in cand:
+            holders[slot[h]] |= 1 << i
+    ups = []
+    for u in members:
+        fu = flats[u]
+        up = 0
+        for k, v in enumerate(members):
+            if fu & ~flats[v] == 0:
+                up |= 1 << k
+        ups.append(up)
+    every_member = (1 << len(members)) - 1
+    every_cand = (1 << len(candidates)) - 1
+    kept = []
+    for i, cand in enumerate(candidates):
+        up = 0
+        for h in cand:
+            up |= ups[slot[h]]
+        escapes = 1 << i
+        for k in _bit_indices(every_member & ~up):
+            escapes |= holders[k]
+        if escapes == every_cand:
+            kept.append(i)
+    return kept
 
 
 def hasse_cluster(
@@ -167,6 +198,13 @@ def hasse_cluster(
     subset are kept; literal mode keeps every candidate. A candidate is
     output iff no other candidate dominates it, where C' dominates C'' when
     every member of C' has a generalization in C''.
+
+    The dominance test works on U, the distinct graphs in any candidate:
+    for each candidate C'' it ORs the up-sets (within U) of its members,
+    then ORs the candidate masks of the graphs of U outside that union;
+    C'' is kept iff the result, with C'' itself, covers every candidate.
+    That is O(C * |U|) big-int ORs for C candidates, instead of O(C^2)
+    pairwise comparisons.
     """
     seqs = list(seqs)
     if not seqs:
@@ -185,9 +223,9 @@ def hasse_cluster(
         rows = seq_to_matrix(s, table.labels).rows
         counts[rows] = counts.get(rows, 0) + 1
     mult = list(counts.values())
-    d_flats = [_flat(rows, m) for rows in counts]
+    d_flats = [_pack_rows(rows, m) for rows in counts]
 
-    flats = [_flat(pm.rows, m) for pm in cat.path_matrices]
+    flats = cat.flats
     groups: dict[int, list[int]] = {}
     for h, fh in enumerate(flats):
         mask = 0
@@ -251,16 +289,11 @@ def hasse_cluster(
     candidates = [candidates[i] for i in order]
     cand_masks = [cand_masks[i] for i in order]
 
-    def has_incoming(b: tuple[int, ...]) -> bool:
-        b_flats = [flats[h] for h in b]
-        for a in candidates:
-            if a == b:
-                continue
-            if all(any(fb & ~flats[ha] == 0 for fb in b_flats) for ha in a):
-                return True
-        return False
-
-    kept = [i for i, cand in enumerate(candidates) if not has_incoming(cand)]
+    # Every catalog graph sits in exactly one group, so two candidates from
+    # different group combinations, or different picks within one, differ
+    # in some member: the candidates are pairwise distinct sets, as
+    # _undominated requires.
+    kept = _undominated(candidates, flats)
     clusters = tuple(
         tuple(cat.path_matrices[h] for h in candidates[i]) for i in kept
     )

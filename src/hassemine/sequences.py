@@ -2,8 +2,7 @@
 
 Covers restriction to a label subset, the layered-graph conversion (stg) and
 its inverse (gts), the consistency predicate between a sequence and a wiring
-diagram, flattenings (linear extensions as path graphs), and a five-way
-equivalence harness used as a test oracle.
+diagram, and flattenings (linear extensions as path graphs).
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from .graphs import (
     LabelTable,
     _bit_indices,
     _closure_rows,
-    r_set,
-    restrict,
 )
 
 
@@ -239,60 +236,3 @@ def flattenings(g: Digraph) -> list[Digraph]:
             rows[a] |= 1 << b
         out.append(Digraph(g.labels, tuple(rows)))
     return out
-
-
-def _relation_pairs(g: Digraph) -> frozenset[tuple[str, str]]:
-    return r_set(g).pairs()
-
-
-def check_consistency_equivalences(s: EventSequence, w: Digraph) -> bool:
-    """Test oracle: evaluate five characterizations of consistency and return
-    True iff they all agree (all True or all False).
-
-    The five: (i) the direct definition; (ii) relation inclusion after
-    restricting the sequence to w's labels; (iii) a morphism between the two
-    graphs restricted to the shared occurring labels; (iv) a morphism from
-    the sequence's full graph onto w restricted; (v) existence of a
-    flattening of restricted w that the sequence's graph maps onto.
-    Conditions (iv)/(v) compare relations as label-pair sets because their
-    graphs live on nested, not equal, vertex sets.
-    """
-    if not s.is_simple:
-        raise NotSimple("the equivalence harness needs a simple sequence")
-    direct = is_consistent(s, w)
-
-    occurring = set(s.events)
-    shared = [lab for lab in w.labels if lab in occurring]
-
-    if s.events:
-        s_graph = stg(s)
-        s_pairs = _relation_pairs(s_graph)
-    else:
-        s_graph = None
-        s_pairs = frozenset()
-
-    restricted_seq = restrict_sequence(s, w.labels.labels) if len(w.labels) else s
-    if restricted_seq.events:
-        rs_pairs = _relation_pairs(stg(restricted_seq))
-    else:
-        rs_pairs = frozenset()
-    w_pairs = _relation_pairs(w)
-    shared_set = set(shared)
-    via_restriction = {
-        (a, b) for a, b in w_pairs if a in shared_set and b in shared_set
-    } <= rs_pairs
-
-    if shared and s_graph is not None:
-        s_shared_pairs = _relation_pairs(restrict(s_graph, shared))
-        w_shared = restrict(w, shared)
-        w_shared_pairs = _relation_pairs(w_shared)
-        via_shared_morphism = w_shared_pairs <= s_shared_pairs
-        via_nested_morphism = w_shared_pairs <= s_pairs
-        via_flattening = any(
-            _relation_pairs(z) <= s_pairs for z in flattenings(w_shared)
-        )
-    else:
-        via_shared_morphism = via_nested_morphism = via_flattening = True
-
-    votes = {direct, via_restriction, via_shared_morphism, via_nested_morphism, via_flattening}
-    return len(votes) == 1

@@ -1,15 +1,27 @@
 """Independent reference implementations used as test oracles.
 
-Everything here deliberately avoids the package's bitset machinery: BFS over
+Most of these deliberately avoid the package's bitset machinery: BFS over
 adjacency lists, brute-force permutation filters, greedy arrow deletion,
 union-find components, and an O(n^3) rational average-linkage clusterer that
-recomputes every cross-cluster mean from the raw distance matrix.
+recomputes every cross-cluster mean from the raw distance matrix. Two are
+slower formulations kept to check faster ones: the pairwise dominance filter
+that hasse_cluster used before its bitset test, and a harness that checks
+five characterizations of sequence/diagram consistency against each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+
+from hassemine import Digraph, NotSimple, r_set, restrict
+from hassemine.sequences import (
+    EventSequence,
+    flattenings,
+    is_consistent,
+    restrict_sequence,
+    stg,
+)
 
 
 def reachable_pairs_bfs(labels, arrows):
@@ -186,3 +198,80 @@ def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):
         if not incoming:
             sources.add(b)
     return sources
+
+
+def dominance_filter_pairwise(candidates, flats):
+    """Indices of the undominated candidates, by comparing every pair.
+
+    candidates are tuples of indices into flats (packed path matrices); a
+    dominates b iff every member of a has a generalization in b, i.e. some
+    hb in b with flats[hb] & ~flats[ha] == 0. O(C^2) candidate pairs.
+    """
+
+    def has_incoming(b):
+        b_flats = [flats[h] for h in b]
+        for a in candidates:
+            if a == b:
+                continue
+            if all(any(fb & ~flats[ha] == 0 for fb in b_flats) for ha in a):
+                return True
+        return False
+
+    return [i for i, cand in enumerate(candidates) if not has_incoming(cand)]
+
+
+def _relation_pairs(g: Digraph) -> frozenset[tuple[str, str]]:
+    return r_set(g).pairs()
+
+
+def check_consistency_equivalences(s: EventSequence, w: Digraph) -> bool:
+    """Evaluate five characterizations of consistency; True iff they all
+    agree (all True or all False).
+
+    The five: (i) the direct definition; (ii) relation inclusion after
+    restricting the sequence to w's labels; (iii) a morphism between the two
+    graphs restricted to the shared occurring labels; (iv) a morphism from
+    the sequence's full graph onto w restricted; (v) existence of a
+    flattening of restricted w that the sequence's graph maps onto.
+    Conditions (iv)/(v) compare relations as label-pair sets because their
+    graphs live on nested, not equal, vertex sets.
+    """
+    if not s.is_simple:
+        raise NotSimple("the equivalence harness needs a simple sequence")
+    direct = is_consistent(s, w)
+
+    occurring = set(s.events)
+    shared = [lab for lab in w.labels if lab in occurring]
+
+    if s.events:
+        s_graph = stg(s)
+        s_pairs = _relation_pairs(s_graph)
+    else:
+        s_graph = None
+        s_pairs = frozenset()
+
+    restricted_seq = restrict_sequence(s, w.labels.labels) if len(w.labels) else s
+    if restricted_seq.events:
+        rs_pairs = _relation_pairs(stg(restricted_seq))
+    else:
+        rs_pairs = frozenset()
+    w_pairs = _relation_pairs(w)
+    shared_set = set(shared)
+    via_restriction = {
+        (a, b) for a, b in w_pairs if a in shared_set and b in shared_set
+    } <= rs_pairs
+
+    if shared and s_graph is not None:
+        s_shared_pairs = _relation_pairs(restrict(s_graph, shared))
+        w_shared = restrict(w, shared)
+        w_shared_pairs = _relation_pairs(w_shared)
+        via_shared_morphism = w_shared_pairs <= s_shared_pairs
+        via_nested_morphism = w_shared_pairs <= s_pairs
+        via_flattening = any(
+            _relation_pairs(z) <= s_pairs for z in flattenings(w_shared)
+        )
+    else:
+        via_shared_morphism = via_nested_morphism = via_flattening = True
+
+    votes = {direct, via_restriction, via_shared_morphism, via_nested_morphism, via_flattening}
+    return len(votes) == 1

@@ -37,6 +37,7 @@ import time
 
 from oracles import (
     average_linkage_oracle,
+    check_consistency_equivalences,
     linear_extensions_bruteforce,
     morphism_oracle,
     reachable_pairs_bfs,
@@ -70,7 +71,7 @@ from hassemine.graphs import (
     transitive_closure,
     transitive_reduction,
 )
-from hassemine.sequences import check_consistency_equivalences, flattenings
+from hassemine.sequences import flattenings
 
 J4 = ("e1", "e2", "e5", "e6")
 J5 = ("e1", "e2", "e5", "e6", "e11")

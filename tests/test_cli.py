@@ -16,7 +16,8 @@ Claims covered:
   label on every record;
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
-- usage errors (no command, unknown flags, missing files) exit 2.
+- usage errors (no command, unknown flags, missing files) exit 2, and so
+  do malformed sequence files, with the offending file line in the message.
 """
 
 from __future__ import annotations
@@ -337,3 +338,21 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "mine", "--in", "x.jsonl")[0] == 2
     assert run_cli(capsys, "simulate", "--version", "3", "--episodes", "1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"events": "abc"}',
+        '{"events": [["a"]]}',
+        '{"events": ["a"], "label": true}',
+        '{"events": ["a"], "label": 1.0}',
+        '{"events": ["a"],, "label": 1}',
+    ],
+)
+def test_malformed_input_exits_2_with_line(tmp_path, capsys, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"universe": ["a", "b", "c"]}\n' + record + "\n")
+    code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: ")

@@ -6,7 +6,9 @@ Claims covered:
 - every enumerated graph is quasi-skeleton, path matrices are pairwise
   distinct, and reduction-of-closure fixes each graph;
 - has_morphism equals direct relation inclusion (independent oracle);
-- generalization up-sets match brute force.
+- generalization up-sets match brute force;
+- the packed flats are the path matrices, one bit per entry, and mask
+  containment on them is the morphism relation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from hassemine import Digraph, LabelTable, LabelMismatch, TooManyLabels
 from hassemine import is_quasi_skeleton, path_matrix, r_set, transitive_closure, transitive_reduction
+from hassemine.graphs import _pack_rows
 from hassemine.enumeration import (
     LABELED_POSET_COUNTS,
     enumerate_category,
@@ -142,3 +145,16 @@ def test_generalizations_match_bruteforce_on_full_chain_m3():
         ups = set(cat.upset(i))
         assert i in ups
         assert 0 in ups  # canonical order puts the zero matrix first
+
+
+def test_flats_pack_path_matrices():
+    cat = enumerate_category(_table(3))
+    assert len(cat.flats) == len(cat)
+    for flat, pm in zip(cat.flats, cat.path_matrices):
+        assert flat == _pack_rows(pm.rows, 3)
+        assert [flat >> (3 * i + j) & 1 for i in range(3) for j in range(3)] == list(
+            pm.sort_key()
+        )
+    for i, a in enumerate(cat.graphs):
+        for j, b in enumerate(cat.graphs):
+            assert (cat.flats[j] & ~cat.flats[i] == 0) == has_morphism(a, b)

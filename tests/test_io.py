@@ -5,6 +5,10 @@ Claims covered:
   honors the universe header, and accepts an explicit universe override;
 - malformed files fail loudly: missing universe, duplicate header,
   recordless events, non-0/1 labels, unknown event tokens;
+- each malformed record fails with a ValueError naming its file line:
+  invalid JSON, events that are a string or hold a non-string, labels
+  given as true or 1.0, a header universe that is not a list of strings;
+- the parsed sequences are built once and shared by later reads;
 - episode rows carry exactly the five published fields;
 - matrix CSV round-trips exactly and rejects ragged or non-binary data.
 """
@@ -70,6 +74,41 @@ def test_parse_errors():
         parse_sequences('{"universe": ["a"]}\n{"events": ["b"]}\n')
     with pytest.raises(ValueError):
         dump_sequences(TABLE, [{"label": 1}])
+
+
+HEADER = '{"universe": ["a", "b", "c"]}\n'
+
+MALFORMED_RECORDS = {
+    "string events": '{"events": "abc"}',
+    "nested events": '{"events": [["a"]]}',
+    "numeric event": '{"events": ["a", 1]}',
+    "boolean label": '{"events": ["a"], "label": true}',
+    "float label": '{"events": ["a"], "label": 1.0}',
+    "json syntax": '{"events": ["a"],, "label": 1}',
+    "unknown event": '{"events": ["z"]}',
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_malformed_record_names_its_line(record):
+    text = HEADER + '{"events": ["a"], "label": 0}\n\n' + record + "\n"
+    with pytest.raises(ValueError, match=r"^line 4: "):
+        parse_sequences(text)
+
+
+@pytest.mark.parametrize(
+    "header", ['{"universe": "abc"}', '{"universe": ["a", 1]}', '{"universe": ["a", "a"]}']
+)
+def test_malformed_header_names_its_line(header):
+    with pytest.raises(ValueError, match=r"^line 1: "):
+        parse_sequences(header + '\n{"events": ["a"]}\n')
+
+
+def test_sequences_built_once():
+    records = parse_sequences(HEADER + '{"events": ["b", "a"], "label": 1}\n')
+    assert records.sequences is records.sequences
+    assert records.sequences[0].events == ("b", "a")
+    assert records.labels == (1,)
 
 
 def test_episode_rows(tmp_path):

@@ -9,6 +9,8 @@ Claims covered:
 - Hasse clustering reproduces the worked outputs in both modes, agrees
   with a brute-force reference on random small inputs, and satisfies its
   coverage, size, consistency, and minimality invariants;
+- its candidates are pairwise distinct sets, and the bitset dominance
+  filter keeps exactly what the pairwise filter it replaced keeps;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
 """
@@ -36,6 +38,8 @@ from hassemine import (
     MissingClass,
     TooManyLabels,
 )
+from hassemine import mining
+from hassemine.game import corrupt, simulate, v2_config
 from hassemine.mining import (
     OccurrenceIndex,
     common_matrix,
@@ -45,7 +49,11 @@ from hassemine.mining import (
 )
 from hassemine.sequences import EventSequence, SubsetSequence, is_consistent
 
-from oracles import hasse_cluster_bruteforce, strict_orders_bruteforce
+from oracles import (
+    dominance_filter_pairwise,
+    hasse_cluster_bruteforce,
+    strict_orders_bruteforce,
+)
 
 E_UNIVERSE = LabelTable(("e1", "e2", "e5", "e6", "e11"))
 J4 = ("e1", "e2", "e5", "e6")
@@ -363,6 +371,58 @@ def test_hasse_cluster_invariants():
                         if any(member.pairs() <= mat.pairs() for member in sub)
                     )
                     assert Fraction(sub_cov) * 100 < threshold * len(seqs)
+
+
+def _oracle_checked_filter(monkeypatch) -> list[int]:
+    """Make hasse_cluster check each dominance filter call against the
+    pairwise oracle; returns the list of candidate counts seen."""
+    fast = mining._undominated
+    seen = []
+
+    def checked(candidates, flats):
+        assert all(len(set(cand)) == len(cand) for cand in candidates)
+        assert len(set(map(frozenset, candidates))) == len(candidates)
+        kept = fast(candidates, flats)
+        assert kept == dominance_filter_pairwise(candidates, flats)
+        seen.append(len(candidates))
+        return kept
+
+    monkeypatch.setattr(mining, "_undominated", checked)
+    return seen
+
+
+def test_dominance_filter_matches_pairwise_oracle(monkeypatch):
+    # Literal mode at t=0 takes every pair of the 219 orders on 4 labels as
+    # a candidate (24090), too many for the O(C^2) oracle here; that one
+    # cell runs at r=1.
+    seen = _oracle_checked_filter(monkeypatch)
+    rng = random.Random(11)
+    for m in (2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        universe = LabelTable(j + ("x",))
+        for mode, r_max in (("minimal", 3), ("literal", 2)):
+            for r in range(1, r_max + 1):
+                for t in (0, 25, 50, 75, 90, 100):
+                    if (mode, m, r, t) == ("literal", 4, 2, 0):
+                        continue
+                    seqs = [
+                        EventSequence(
+                            universe,
+                            tuple(rng.choice(universe.labels) for _ in range(rng.randint(0, 5))),
+                        )
+                        for _ in range(rng.randint(1, 8))
+                    ]
+                    hasse_cluster(seqs, j, t, r, mode)
+    assert len(seen) == 89
+    assert max(seen) > 500
+
+
+def test_dominance_filter_paper_shaped_r3(monkeypatch):
+    seen = _oracle_checked_filter(monkeypatch)
+    episodes = corrupt(simulate(v2_config(seed=0), 30, "scripted-mixed"), 0.10, 0)
+    out = hasse_cluster([ep.events for ep in episodes], J5, t=95, r=3)
+    assert seen == [727]
+    assert len(out.clusters) == 2
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():

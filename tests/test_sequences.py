@@ -37,7 +37,6 @@ from hassemine.sequences import (
     EventSequence,
     SubsetSequence,
     as_subset_sequence,
-    check_consistency_equivalences,
     flattenings,
     gts,
     is_consistent,
@@ -45,7 +44,7 @@ from hassemine.sequences import (
     stg,
 )
 
-from oracles import linear_extensions_bruteforce
+from oracles import check_consistency_equivalences, linear_extensions_bruteforce
 
 X8 = LabelTable(tuple("ABCDEFGH"))
 
