@@ -12,12 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .mining import common_matrix, seq_to_matrix
+from .mining import _analysis_table, _distinct, _encode, common_matrix
 from .sequences import AnySequence
 
 
@@ -49,8 +50,13 @@ class MatrixPointSet:
         j_labels: Iterable[str],
         names: Optional[Iterable[str]] = None,
     ) -> "MatrixPointSet":
-        j_labels = tuple(j_labels)
-        points = tuple(seq_to_matrix(s, j_labels) for s in seqs)
+        seqs = list(seqs)
+        points = ()
+        if seqs:  # an empty corpus needs no analysis labels
+            table = _analysis_table(j_labels)
+            keys, slots = _encode(seqs, table)
+            mats = {rows: BoolMatrix(table, rows) for rows, _ in keys}
+            points = tuple(mats[keys[k][0]] for k in slots)
         if names is None:
             names = tuple(str(i) for i in range(len(points)))
         return cls(points, tuple(names))
@@ -64,13 +70,11 @@ def l1_distance(a: BoolMatrix, b: BoolMatrix) -> int:
 
 
 def _distance_table(pts: MatrixPointSet) -> list[list[int]]:
-    n = len(pts)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = l1_distance(pts.points[i], pts.points[j])
-            table[i][j] = table[j][i] = d
-    return table
+    uniq, slots = _distinct(pts.points)
+    dist = [[0] * len(uniq) for _ in uniq]
+    for a, b in combinations(range(len(uniq)), 2):
+        dist[a][b] = dist[b][a] = l1_distance(uniq[a], uniq[b])
+    return [[dist[i][j] for j in slots] for i in slots]
 
 
 def dbscan(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 
 from .baselines import MatrixPointSet, cut, dbscan, hierarchical
-from .mining import hasse_cluster, relevance_scores, seq_to_matrix
+from .mining import hasse_cluster, relevance_scores
 
 
 class ParamsMixin:
@@ -67,7 +67,7 @@ class SequenceMatrixEncoder(ParamsMixin):
         self.labels = tuple(labels)
 
     def transform(self, sequences):
-        return [seq_to_matrix(s, self.labels) for s in sequences]
+        return list(MatrixPointSet.from_sequences(sequences, self.labels).points)
 
 
 class HasseClustering(ParamsMixin):

@@ -78,7 +78,7 @@ def save_episodes(path, episodes: Iterable[Episode]) -> None:
 
 
 def parse_sequences(text: str, universe=None) -> SequenceRecords:
-    """Parse sequence-file text; `universe` overrides any header record.
+    """Parse sequence-file text; a `universe` of strings overrides any header.
 
     A malformed line raises ValueError naming its 1-based line number:
     invalid JSON, a record that is not an object, a second header, a header
@@ -121,7 +121,10 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
         rows.append(record)
         numbers.append(number)
     if universe is not None:
-        table = LabelTable(tuple(universe))
+        universe = tuple(universe)
+        if not all(type(x) is str for x in universe):
+            raise ValueError("universe must be a list of strings")
+        table = LabelTable(universe)
     elif header_table is not None:
         table = header_table
     else:

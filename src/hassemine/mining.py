@@ -6,6 +6,11 @@ collection (pairs ordered the same way everywhere they co-occur), Hasse
 clustering (undominated small sets of quasi-skeleton graphs covering a
 required share of the sequences), and win/lose relevance scoring of ordered
 label pairs.
+
+A corpus has one encoding, `_encode`: each distinct sequence is encoded
+once, into an (order rows, occurrence mask) key, and the corpus becomes
+its distinct keys plus each sequence's key. The common matrix, the miner,
+relevance scoring and the baselines' point sets all read it.
 """
 
 from __future__ import annotations
@@ -32,28 +37,42 @@ from .graphs import BoolMatrix, LabelTable, _bit_indices, _pack_rows
 from .sequences import AnySequence
 
 
-@dataclass(frozen=True)
-class OccurrenceIndex:
-    """1-based occurrence positions of each table label within one sequence.
-
-    positions[i] lists where table.labels[i] occurs; an empty tuple means the
-    label never occurs.
-    """
-
-    table: LabelTable
-    positions: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_sequence(cls, s: AnySequence, table: LabelTable) -> "OccurrenceIndex":
-        pos = s.positions()
-        return cls(table, tuple(tuple(pos.get(lab, ())) for lab in table))
-
-
 def _analysis_table(j_labels: Iterable[str]) -> LabelTable:
     labels = tuple(j_labels)
     if not labels:
         raise EmptyJ("the analysis label set is empty")
     return LabelTable(labels)
+
+
+def _order_key(s: AnySequence, table: LabelTable) -> tuple[tuple[int, ...], int]:
+    """(order rows, mask of the table labels that occur) of one sequence."""
+    for lab in table:
+        if lab not in s.universe:
+            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
+    pos = s.positions()
+    spans = [(i, min(p), max(p)) for i, lab in enumerate(table) if (p := pos.get(lab))]
+    rows = [0] * len(table)
+    for i, _, last in spans:
+        for j, first, _ in spans:
+            if last < first:  # never for j == i
+                rows[i] |= 1 << j
+    return tuple(rows), sum(1 << i for i, _, _ in spans)
+
+
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's slot among them."""
+    index: dict = {}
+    slots = [index.setdefault(x, len(index)) for x in items]
+    return list(index), slots
+
+
+def _encode(seqs: list[AnySequence], table: LabelTable):
+    """(keys, slots): seqs[i] has key keys[slots[i]], keys are the distinct
+    _order_key results in first-seen order, and key k's multiplicity is
+    slots.count(k). Each distinct sequence is checked and encoded once."""
+    uniq, seq_slots = _distinct(seqs)
+    keys, key_slots = _distinct([_order_key(s, table) for s in uniq])
+    return keys, [key_slots[k] for k in seq_slots]
 
 
 def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
@@ -64,24 +83,7 @@ def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
     transitive, with zero rows and columns for absent labels.
     """
     table = _analysis_table(j_labels)
-    for lab in table:
-        if lab not in s.universe:
-            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
-    occ = OccurrenceIndex.from_sequence(s, table)
-    m = len(table)
-    rows = [0] * m
-    for i in range(m):
-        pi = occ.positions[i]
-        if not pi:
-            continue
-        last = max(pi)
-        for j in range(m):
-            if j == i:
-                continue
-            pj = occ.positions[j]
-            if pj and last < min(pj):
-                rows[i] |= 1 << j
-    return BoolMatrix(table, tuple(rows))
+    return BoolMatrix(table, _order_key(s, table)[0])
 
 
 def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolMatrix:
@@ -97,19 +99,10 @@ def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolM
     m = len(table)
     witness = [0] * m
     veto = [0] * m
-    for s in seqs:
-        mat = seq_to_matrix(s, table.labels)
-        pos = s.positions()
-        occurring = 0
-        for j, lab in enumerate(table.labels):
-            if pos.get(lab):
-                occurring |= 1 << j
-        for i in range(m):
-            if not occurring >> i & 1:
-                continue
-            others = occurring & ~(1 << i)
-            witness[i] |= mat.rows[i]
-            veto[i] |= others & ~mat.rows[i]
+    for rows, occurring in _encode(seqs, table)[0]:
+        for i in _bit_indices(occurring):
+            witness[i] |= rows[i]
+            veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
     return BoolMatrix(table, tuple(w & ~v for w, v in zip(witness, veto)))
 
 
@@ -197,7 +190,9 @@ def hasse_cluster(
     minimal mode (default) only candidates with no threshold-meeting proper
     subset are kept; literal mode keeps every candidate. A candidate is
     output iff no other candidate dominates it, where C' dominates C'' when
-    every member of C' has a generalization in C''.
+    every member of C' has a generalization in C''. At t = 0 minimal mode
+    yields no sets (the CLI exits 3): the empty set already meets the
+    threshold, so every candidate has a threshold-meeting proper subset.
 
     The dominance test works on U, the distinct graphs in any candidate:
     for each candidate C'' it ORs the up-sets (within U) of its members,
@@ -218,10 +213,9 @@ def hasse_cluster(
     cat = enumerate_category(table)
     m = len(table)
 
-    counts: dict[tuple[int, ...], int] = {}
-    for s in seqs:
-        rows = seq_to_matrix(s, table.labels).rows
-        counts[rows] = counts.get(rows, 0) + 1
+    # Per matrix, not per key: the catalog scan runs once per distinct matrix.
+    keys, slots = _encode(seqs, table)
+    counts = Counter(keys[k][0] for k in slots)
     mult = list(counts.values())
     d_flats = [_pack_rows(rows, m) for rows in counts]
 
@@ -377,14 +371,14 @@ def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTa
     if n_win == 0 or n_lose == 0:
         raise MissingClass("need at least one episode of each class")
     m = len(universe)
+    keys, slots = _encode([s for s, _ in episodes], _analysis_table(universe.labels))
     win_counts = [[0] * m for _ in range(m)]
     lose_counts = [[0] * m for _ in range(m)]
-    for s, label in episodes:
-        mat = seq_to_matrix(s, universe.labels)
+    for (k, label), c in Counter(zip(slots, (lab for _, lab in episodes))).items():
         target = win_counts if label == 1 else lose_counts
         for i in range(m):
-            for j in _bit_indices(mat.rows[i]):
-                target[i][j] += 1
+            for j in _bit_indices(keys[k][0][i]):
+                target[i][j] += c
     return RelevanceTable(
         universe,
         n_win,

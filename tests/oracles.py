@@ -3,9 +3,11 @@
 Most of these deliberately avoid the package's bitset machinery: BFS over
 adjacency lists, brute-force permutation filters, greedy arrow deletion,
 union-find components, and an O(n^3) rational average-linkage clusterer that
-recomputes every cross-cluster mean from the raw distance matrix. Two are
-slower formulations kept to check faster ones: the pairwise dominance filter
-that hasse_cluster used before its bitset test, and a harness that checks
+recomputes every cross-cluster mean from the raw distance matrix. The rest
+are slower formulations kept to check faster ones: the pairwise dominance
+filter that hasse_cluster used before its bitset test; the per-sequence
+order matrix, common-matrix loop and relevance tally that ran before the
+corpus was encoded once per distinct sequence; and a harness that checks
 five characterizations of sequence/diagram consistency against each other.
 """
 
@@ -148,15 +150,17 @@ def strict_orders_bruteforce(labels):
 def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):
     """Reference clustering: direct scan over all strict-order subsets.
 
-    event_seqs are plain label tuples. Returns the undominated candidates
-    as a set of frozensets, each inner frozenset one order's pair set.
+    event_seqs are plain label tuples, or tuples of label frozensets for
+    subset sequences. Returns the undominated candidates as a set of
+    frozensets, each inner frozenset one order's pair set.
     """
     from itertools import combinations
 
     def order_pairs(events):
         pos = {}
         for idx, e in enumerate(events):
-            pos.setdefault(e, []).append(idx)
+            for lab in e if isinstance(e, frozenset) else (e,):
+                pos.setdefault(lab, []).append(idx)
         got = set()
         for a in j_labels:
             for b in j_labels:
@@ -218,6 +222,56 @@ def dominance_filter_pairwise(candidates, flats):
         return False
 
     return [i for i, cand in enumerate(candidates) if not has_incoming(cand)]
+
+
+def order_rows_oracle(s, j_labels):
+    """Packed order rows of one sequence, as seq_to_matrix computed them
+    before the shared encoding: each label's occurrence positions, then
+    max(positions of i) < min(positions of j) for every pair i != j."""
+    pos = s.positions()
+    occ = [tuple(pos.get(lab, ())) for lab in j_labels]
+    rows = []
+    for i, pi in enumerate(occ):
+        row = 0
+        for j, pj in enumerate(occ):
+            if j != i and pi and pj and max(pi) < min(pj):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def common_rows_oracle(seqs, j_labels):
+    """Packed common-matrix rows by the per-sequence witness/veto loop."""
+    m = len(j_labels)
+    witness = [0] * m
+    veto = [0] * m
+    for s in seqs:
+        rows = order_rows_oracle(s, j_labels)
+        pos = s.positions()
+        occurring = 0
+        for j, lab in enumerate(j_labels):
+            if pos.get(lab):
+                occurring |= 1 << j
+        for i in range(m):
+            if occurring >> i & 1:
+                witness[i] |= rows[i]
+                veto[i] |= occurring & ~(1 << i) & ~rows[i]
+    return tuple(w & ~v for w, v in zip(witness, veto))
+
+
+def relevance_counts_oracle(episodes):
+    """(win_counts, lose_counts) tallied one episode at a time over the
+    universe of the first episode."""
+    labels = episodes[0][0].universe.labels
+    m = len(labels)
+    counts = {c: [[0] * m for _ in range(m)] for c in (0, 1)}
+    for s, label in episodes:
+        rows = order_rows_oracle(s, labels)
+        for i in range(m):
+            for j in range(m):
+                if rows[i] >> j & 1:
+                    counts[label][i][j] += 1
+    return tuple(tuple(tuple(row) for row in counts[c]) for c in (1, 0))
 
 
 def _relation_pairs(g: Digraph) -> frozenset[tuple[str, str]]:

@@ -1,0 +1,135 @@
+"""The one corpus encoding that mining, relevance and the baselines read.
+
+Claims covered:
+- on corpora with repeated sequences (event and subset sequences over two
+  universes that share the analysis labels), seq_to_matrix, common_matrix,
+  relevance_scores, hasse_cluster, dbscan and hierarchical give what the
+  per-sequence code they replaced and the brute-force oracles give, and
+  equal points of a MatrixPointSet are one shared matrix object;
+- the encoder keeps the error behaviour of the per-sequence code: an empty
+  point set needs no labels, an empty common matrix raises EmptyInput,
+  the label cap is checked before the universes, and seq_to_matrix raises
+  EmptyJ, then the duplicate-label ValueError, then LabelNotInUniverse.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from hassemine import (
+    EmptyInput,
+    EmptyJ,
+    EventSequence,
+    LabelNotInUniverse,
+    LabelTable,
+    MatrixPointSet,
+    SubsetSequence,
+    TooManyLabels,
+    common_matrix,
+    dbscan,
+    hasse_cluster,
+    hierarchical,
+    relevance_scores,
+    seq_to_matrix,
+)
+
+from oracles import (
+    average_linkage_oracle,
+    common_rows_oracle,
+    components_unionfind,
+    hasse_cluster_bruteforce,
+    order_rows_oracle,
+    relevance_counts_oracle,
+)
+
+J = ("a", "b", "c")
+U1 = LabelTable(("a", "b", "c", "x"))
+U2 = LabelTable(("c", "x", "b", "y", "a"))
+
+
+def _random_sequence(rng, universe):
+    labels = universe.labels
+    if rng.random() < 0.5:
+        return EventSequence(universe, tuple(rng.choice(labels) for _ in range(rng.randint(0, 5))))
+    terms = [frozenset(rng.sample(labels, rng.randint(1, 2))) for _ in range(rng.randint(0, 4))]
+    return SubsetSequence(universe, tuple(terms))
+
+
+def _pool(rng):
+    """A few sequences to draw corpora from, so that draws repeat. The
+    fixed ones give equal matrices with unequal occurrence masks, and an
+    event sequence next to its singleton-subset lift."""
+    pool = [
+        EventSequence(U1, ()),
+        EventSequence(U1, ("a",)),
+        EventSequence(U2, ("b", "a")),
+        SubsetSequence(U2, (frozenset(("b",)), frozenset(("a",)))),
+    ]
+    pool += [_random_sequence(rng, rng.choice((U1, U2))) for _ in range(rng.randint(1, 4))]
+    return pool
+
+
+def _plain(s):
+    return s.events if isinstance(s, EventSequence) else s.terms
+
+
+def test_shared_encoding_matches_per_sequence_oracles():
+    rng = random.Random(23)
+    for _ in range(40):
+        pool = _pool(rng)
+        corpus = [rng.choice(pool) for _ in range(rng.randint(6, 14))]
+        assert len(set(corpus)) < len(corpus)
+
+        rows = [order_rows_oracle(s, J) for s in corpus]
+        assert [seq_to_matrix(s, J).rows for s in corpus] == rows
+        assert common_matrix(corpus, J).rows == common_rows_oracle(corpus, J)
+
+        episodes = [(s, rng.randint(0, 1)) for s in corpus if s.universe == U1]
+        episodes += [(EventSequence(U1, ("a", "b")), 1), (EventSequence(U1, ("b",)), 0)]
+        table = relevance_scores(episodes)
+        assert (table.win_counts, table.lose_counts) == relevance_counts_oracle(episodes)
+        assert table.n_win == sum(label for _, label in episodes)
+
+        t = rng.choice((0, 40, 75, 100))
+        r = rng.randint(1, 2)
+        mode = rng.choice(("minimal", "literal"))
+        out = hasse_cluster(corpus, J, t, r, mode)
+        got = {frozenset(mx.pairs() for mx in cluster) for cluster in out.clusters}
+        assert got == hasse_cluster_bruteforce([_plain(s) for s in corpus], J, t, r, mode)
+
+        points = MatrixPointSet.from_sequences(corpus, J)
+        n = len(points)
+        assert [p.rows for p in points.points] == rows
+        for i in range(n):
+            for j in range(n):
+                assert (points.points[i] is points.points[j]) == (rows[i] == rows[j])
+        dist = [
+            [sum((a ^ b).bit_count() for a, b in zip(rows[i], rows[j])) for j in range(n)]
+            for i in range(n)
+        ]
+        eps = rng.randint(0, 3)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] <= eps]
+        assert dbscan(points, eps) == (components_unionfind(n, edges), [])
+        assert list(hierarchical(points).merges) == average_linkage_oracle(dist)
+
+
+def test_encoder_error_behaviour():
+    assert len(MatrixPointSet.from_sequences([], ())) == 0
+    with pytest.raises(EmptyInput):
+        common_matrix([], ())
+    big = LabelTable(tuple(f"x{i}" for i in range(6)))
+    with pytest.raises(TooManyLabels):
+        hasse_cluster([EventSequence(big, ("x0",))], big.labels + ("zz",), t=100, r=1)
+    # Every distinct sequence's universe is checked, not only the first.
+    with pytest.raises(LabelNotInUniverse):
+        common_matrix([EventSequence(U2, ("a",)), EventSequence(U1, ("a",))], ("a", "y"))
+    s = EventSequence(U1, ("a",))
+    with pytest.raises(EmptyJ):
+        seq_to_matrix(s, ())
+    with pytest.raises(ValueError) as dup:
+        seq_to_matrix(s, ("zz", "zz"))
+    assert type(dup.value) is ValueError
+    with pytest.raises(LabelNotInUniverse):
+        seq_to_matrix(s, ("a", "zz"))

@@ -8,6 +8,9 @@ Claims covered:
 - each malformed record fails with a ValueError naming its file line:
   invalid JSON, events that are a string or hold a non-string, labels
   given as true or 1.0, a header universe that is not a list of strings;
+- an explicit universe that is not a list of strings is rejected too;
+- arbitrary JSON lines either parse or fail with an error naming a line,
+  except the file-level one for a missing universe;
 - the parsed sequences are built once and shared by later reads;
 - episode rows carry exactly the five published fields;
 - matrix CSV round-trips exactly and rejects ragged or non-binary data.
@@ -15,10 +18,16 @@ Claims covered:
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hassemine import (
     BoolMatrix,
+    HassemineError,
     LabelTable,
     dump_sequences,
     episode_row,
@@ -59,6 +68,9 @@ def test_universe_override_and_headerless():
     # an explicit universe wins over the header
     headed = dump_sequences(TABLE, [{"events": ["e1"]}])
     assert parse_sequences(headed, universe=("e1",)).table.labels == ("e1",)
+    # an explicit universe is checked like a header one
+    with pytest.raises(ValueError, match="universe must be a list of strings"):
+        parse_sequences('{"events": [1, 2]}\n', universe=(1, 2))
 
 
 def test_parse_errors():
@@ -102,6 +114,43 @@ def test_malformed_record_names_its_line(record):
 def test_malformed_header_names_its_line(header):
     with pytest.raises(ValueError, match=r"^line 1: "):
         parse_sequences(header + '\n{"events": ["a"]}\n')
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(("a", "b", "c", "z")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("universe", "events", "label")), inner, max_size=3),
+    max_leaves=6,
+)
+EVENTS = st.lists(st.sampled_from(("a", "b", "c", "z")), max_size=4)
+RECORDS = st.one_of(
+    st.fixed_dictionaries({"universe": EVENTS}),
+    st.fixed_dictionaries({"events": EVENTS}, optional={"label": JSON_VALUES}),
+    st.dictionaries(st.sampled_from(("universe", "events", "label")), JSON_VALUES, max_size=3),
+)
+LINES = st.one_of(RECORDS.map(json.dumps), JSON_VALUES.map(json.dumps), st.text(max_size=6))
+
+
+@given(
+    st.lists(LINES, max_size=5).map("\n".join),
+    st.none() | st.lists(st.sampled_from(("a", "b", "c")), unique=True).map(tuple),
+)
+def test_arbitrary_lines_parse_or_name_their_line(text, universe):
+    try:
+        records = parse_sequences(text, universe)
+    except (HassemineError, ValueError) as exc:
+        message = str(exc)
+        if message.startswith("no universe"):
+            return
+        number = re.match(r"line (\d+): ", message)
+        assert number, message
+        assert 1 <= int(number.group(1)) <= len(text.splitlines())
+    else:
+        assert len(records.sequences) == len(records.rows)
 
 
 def test_sequences_built_once():

@@ -41,7 +41,6 @@ from hassemine import (
 from hassemine import mining
 from hassemine.game import corrupt, simulate, v2_config
 from hassemine.mining import (
-    OccurrenceIndex,
     common_matrix,
     hasse_cluster,
     relevance_scores,
@@ -76,11 +75,6 @@ WINNING_TYPES = FLATTENING_SEQS + [
     ev("e2", "e1", "e5", "e11"),
     ev("e2", "e5", "e1", "e11"),
 ]
-
-
-def test_occurrence_index():
-    occ = OccurrenceIndex.from_sequence(ev("e2", "e5", "e2"), LabelTable(J4))
-    assert occ.positions == ((), (1, 3), (2,), ())
 
 
 def test_seq_to_matrix_worked_example():
