@@ -2,23 +2,31 @@
 
 Order matrices are compared with the L1 metric (cell-wise disagreement
 count). DBSCAN with min_samples=1 reduces to connected components of the
-eps-threshold graph; agglomerative average-linkage clustering is computed
-with exact rational heights so threshold cuts at integer boundaries are
-never decided by float rounding.
+eps-threshold graph; eps must be >= 0. Agglomerative average-linkage
+clustering is computed with exact rational heights, so threshold cuts at
+integer boundaries are never decided by float rounding; copies of a point
+merge first, at height 0, in lowest-(a, b) order.
+
+A corpus of n sequences often holds only k << n distinct matrices. Both
+clusterers work on the k distinct points and their multiplicities, with
+one k x k distance table, so their cost grows with k, not n, apart from
+an O(n) pass that maps the answer back to point indices.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .mining import _analysis_table, _distinct, _encode, common_matrix
+from .mining import _analysis_table, _common_rows, _distinct, _encode
 from .sequences import AnySequence
 
 
@@ -69,50 +77,64 @@ def l1_distance(a: BoolMatrix, b: BoolMatrix) -> int:
     return sum((ra ^ rb).bit_count() for ra, rb in zip(a.rows, b.rows))
 
 
-def _distance_table(pts: MatrixPointSet) -> list[list[int]]:
+def _distance_table(pts: MatrixPointSet) -> tuple[list[list[int]], list[int]]:
+    """(dist, slots): the L1 table of the k distinct points in first-seen
+    order, and each point's slot among them."""
     uniq, slots = _distinct(pts.points)
     dist = [[0] * len(uniq) for _ in uniq]
     for a, b in combinations(range(len(uniq)), 2):
         dist[a][b] = dist[b][a] = l1_distance(uniq[a], uniq[b])
-    return [[dist[i][j] for j in slots] for i in slots]
+    return dist, slots
 
 
 def dbscan(
     pts: MatrixPointSet, eps, min_samples: int = 1
 ) -> tuple[list[list[int]], list[int]]:
-    """DBSCAN under the L1 metric with closed eps-balls.
+    """DBSCAN under the L1 metric with closed eps-balls; eps must be >= 0.
 
     Returns (clusters, noise) as sorted point-index lists; with
     min_samples=1 every point is core, clusters are exactly the connected
-    components of the eps-threshold graph, and noise is empty.
+    components of the eps-threshold graph, and noise is empty. Copies of a
+    point share its fate, so the search runs over the k distinct points: a
+    distinct point is core iff the copies within eps number at least
+    min_samples. Clusters are built whole, one after another, from the
+    first unlabelled core point, so a border point joins the first cluster
+    that reaches it. Cost O(k^2) plus O(n).
     """
     if not isinstance(min_samples, int) or min_samples < 1:
         raise ValueError("min_samples must be a positive integer")
-    n = len(pts)
     radius = exact_fraction(eps)
-    dist = _distance_table(pts)
-    neighbors = [
-        [j for j in range(n) if dist[i][j] <= radius] for i in range(n)
+    if radius < 0:
+        raise ValueError("eps must be nonnegative")
+    limit = math.floor(radius)  # distances are integers
+    dist, slots = _distance_table(pts)
+    mult = [0] * len(dist)
+    for u in slots:
+        mult[u] += 1
+    core = [
+        sum(c for c, d in zip(mult, row) if d <= limit) >= min_samples
+        for row in dist
     ]
-    core = [len(neighbors[i]) >= min_samples for i in range(n)]
-    labels: list[Optional[int]] = [None] * n
-    clusters: list[list[int]] = []
-    for start in range(n):
-        if labels[start] is not None or not core[start]:
+    labels: list[Optional[int]] = [None] * len(dist)
+    n_clusters = 0
+    for start, is_core in enumerate(core):
+        if labels[start] is not None or not is_core:
             continue
-        cid = len(clusters)
-        labels[start] = cid
+        labels[start] = n_clusters
         queue = deque([start])
         while queue:
-            p = queue.popleft()
-            if not core[p]:
+            u = queue.popleft()
+            if not core[u]:
                 continue
-            for q in neighbors[p]:
-                if labels[q] is None:
-                    labels[q] = cid
-                    queue.append(q)
-        clusters.append(sorted(i for i in range(n) if labels[i] == cid))
-    noise = [i for i in range(n) if labels[i] is None]
+            for v, d in enumerate(dist[u]):
+                if d <= limit and labels[v] is None:
+                    labels[v] = n_clusters
+                    queue.append(v)
+        n_clusters += 1
+    clusters: list[list[int]] = [[] for _ in range(n_clusters)]
+    noise = []
+    for i, u in enumerate(slots):
+        (noise if labels[u] is None else clusters[labels[u]]).append(i)
     return clusters, noise
 
 
@@ -149,38 +171,80 @@ class Dendrogram:
             consumed.add(b)
 
 
+def _merge_copies(slots: list[int], k: int):
+    """The height-0 merges that join copies of one point, in lowest-(a, b)
+    order: the distinct point whose smallest live id is lowest merges its
+    two smallest live ids, and the new id, larger than all so far, goes to
+    the back of its queue. Returns (merges, each distinct point's cluster
+    id, next free id)."""
+    queues: list[deque[int]] = [deque() for _ in range(k)]
+    for i, u in enumerate(slots):
+        queues[u].append(i)
+    fronts = [(q[0], u) for u, q in enumerate(queues) if len(q) > 1]
+    merges = []
+    next_id = len(slots)
+    while fronts:  # a heap on each queue's front; sorted, hence one from the start
+        u = fronts[0][1]
+        q = queues[u]
+        merges.append((q.popleft(), q.popleft(), Fraction(0)))
+        q.append(next_id)
+        next_id += 1
+        if len(q) > 1:
+            heapreplace(fronts, (q[0], u))
+        else:
+            heappop(fronts)
+    return merges, [q[0] for q in queues], next_id
+
+
 def hierarchical(pts: MatrixPointSet) -> Dendrogram:
     """Agglomerative clustering under average linkage, exactly.
 
     Cross-cluster distances are unweighted means of pairwise L1 distances,
     held as Fractions; height ties are broken on the lowest (a, b) id pair.
+    Copies of a point merge first, at height 0, in that lowest-(a, b)
+    order. The clusters of the k distinct points then merge by integer
+    pair sums S(A, B), height S / (|A| |B|), with S(A | B, C) = S(A, C) +
+    S(B, C); a heap on (height, a, b) picks each merge, and entries of
+    merged clusters are dropped when met, or all at once when they
+    outnumber the live ones. Cost O(n log k + k^2 log k) besides the
+    O(k^2) distances.
     """
     n = len(pts)
     if n == 0:
         raise EmptyInput("hierarchical clustering needs at least one point")
-    table = _distance_table(pts)
-    dist: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = Fraction(table[i][j])
-    size = {i: 1 for i in range(n)}
-    active = set(range(n))
-    merges = []
-    next_id = n
-    while len(active) > 1:
-        height, a, b = min((d, a, b) for (a, b), d in dist.items())
+    dist, slots = _distance_table(pts)
+    k = len(dist)
+    merges, ident, next_id = _merge_copies(slots, k)
+    size = [0] * k
+    for u in slots:
+        size[u] += 1
+    sums = [
+        [size[u] * size[v] * d for v, d in enumerate(row)]
+        for u, row in enumerate(dist)
+    ]
+    slot_of = {c: u for u, c in enumerate(ident)}
+    heap = [
+        (Fraction(sums[u][v], size[u] * size[v]), *sorted((ident[u], ident[v])))
+        for u, v in combinations(range(k), 2)
+    ]
+    heapify(heap)
+    while len(slot_of) > 1:
+        height, a, b = heappop(heap)
+        if a not in slot_of or b not in slot_of:
+            continue
         merges.append((a, b, height))
-        del dist[(a, b)]
-        active.discard(a)
-        active.discard(b)
-        new = next_id
+        u, v = slot_of.pop(a), slot_of.pop(b)
+        size[u] += size[v]
+        for w in slot_of.values():
+            s = sums[u][w] = sums[w][u] = sums[u][w] + sums[v][w]
+            heappush(heap, (Fraction(s, size[u] * size[w]), ident[w], next_id))
+        ident[u] = next_id
+        slot_of[next_id] = u
         next_id += 1
-        for k in active:
-            da = dist.pop((min(a, k), max(a, k)))
-            db = dist.pop((min(b, k), max(b, k)))
-            dist[(k, new)] = (size[a] * da + size[b] * db) / (size[a] + size[b])
-        size[new] = size[a] + size[b]
-        active.add(new)
+        live = len(slot_of) * (len(slot_of) - 1) // 2
+        if len(heap) > 2 * live:
+            heap = [e for e in heap if e[1] in slot_of and e[2] in slot_of]
+            heapify(heap)
     return Dendrogram(n, tuple(merges))
 
 
@@ -203,9 +267,22 @@ def cluster_common_matrices(
     seqs: Sequence[AnySequence],
     j_labels: Iterable[str],
 ) -> list[BoolMatrix]:
-    """Common matrix of each cluster's member sequences."""
-    j_labels = tuple(j_labels)
-    return [
-        common_matrix([seqs[i] for i in cluster], j_labels)
-        for cluster in clusters
-    ]
+    """Common matrix of each cluster's member sequences.
+
+    The members are encoded once, together, and each cluster folds the
+    distinct keys of its members, as common_matrix does for one corpus.
+    """
+    clusters = [list(c) for c in clusters]
+    if not clusters:
+        return []
+    if not all(clusters):
+        raise EmptyInput("common matrix needs at least one sequence")
+    table = _analysis_table(j_labels)
+    keys, slots = _encode([seqs[i] for c in clusters for i in c], table)
+    out = []
+    start = 0
+    for c in clusters:
+        own = {keys[k] for k in slots[start : start + len(c)]}
+        out.append(BoolMatrix(table, _common_rows(own, len(table))))
+        start += len(c)
+    return out

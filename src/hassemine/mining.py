@@ -96,14 +96,19 @@ def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolM
     if not seqs:
         raise EmptyInput("common matrix needs at least one sequence")
     table = _analysis_table(j_labels)
-    m = len(table)
+    return BoolMatrix(table, _common_rows(_encode(seqs, table)[0], len(table)))
+
+
+def _common_rows(keys, m: int) -> tuple[int, ...]:
+    """Common-matrix rows of the sequences with these _encode keys: a pair
+    is kept iff some key witnesses it and no key where both occur vetoes it."""
     witness = [0] * m
     veto = [0] * m
-    for rows, occurring in _encode(seqs, table)[0]:
+    for rows, occurring in keys:
         for i in _bit_indices(occurring):
             witness[i] |= rows[i]
             veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
-    return BoolMatrix(table, tuple(w & ~v for w, v in zip(witness, veto)))
+    return tuple(w & ~v for w, v in zip(witness, veto))
 
 
 @dataclass(frozen=True)

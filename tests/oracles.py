@@ -4,8 +4,10 @@ Most of these deliberately avoid the package's bitset machinery: BFS over
 adjacency lists, brute-force permutation filters, greedy arrow deletion,
 union-find components, and an O(n^3) rational average-linkage clusterer that
 recomputes every cross-cluster mean from the raw distance matrix. The rest
-are slower formulations kept to check faster ones: the pairwise dominance
-filter that hasse_cluster used before its bitset test; the per-sequence
+are slower formulations kept to check faster ones: the Fraction-scan
+average linkage and the all-points DBSCAN that the baselines ran before
+they worked on the distinct points; the pairwise dominance filter that
+hasse_cluster used before its bitset test; the per-sequence
 order matrix, common-matrix loop and relevance tally that ran before the
 corpus was encoded once per distinct sequence; and a harness that checks
 five characterizations of sequence/diagram consistency against each other.
@@ -13,6 +15,7 @@ five characterizations of sequence/diagram consistency against each other.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -126,6 +129,66 @@ def average_linkage_oracle(dist):
         members[next_id] = members.pop(a) + members.pop(b)
         next_id += 1
     return merges
+
+
+def average_linkage_fraction_scan(dist):
+    """Average linkage as hierarchical ran before it worked on the distinct
+    points: n(n-1)/2 Fraction distances, rescanned with min() on every
+    merge and updated by the size-weighted mean of the two merged rows.
+    Same merge triples and tie-break as average_linkage_oracle."""
+    n = len(dist)
+    table: dict[tuple[int, int], Fraction] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[(i, j)] = Fraction(dist[i][j])
+    size = {i: 1 for i in range(n)}
+    active = set(range(n))
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        height, a, b = min((d, a, b) for (a, b), d in table.items())
+        merges.append((a, b, height))
+        del table[(a, b)]
+        active.discard(a)
+        active.discard(b)
+        new = next_id
+        next_id += 1
+        for k in active:
+            da = table.pop((min(a, k), max(a, k)))
+            db = table.pop((min(b, k), max(b, k)))
+            table[(k, new)] = (size[a] * da + size[b] * db) / (size[a] + size[b])
+        size[new] = size[a] + size[b]
+        active.add(new)
+    return merges
+
+
+def dbscan_all_points(dist, eps, min_samples=1):
+    """DBSCAN as it ran before it worked on the distinct points: a
+    neighbour list per point over the n x n table, then a BFS from each
+    unlabelled core point in index order. Returns (clusters, noise)."""
+    n = len(dist)
+    radius = Fraction(eps)
+    neighbors = [[j for j in range(n) if dist[i][j] <= radius] for i in range(n)]
+    core = [len(neighbors[i]) >= min_samples for i in range(n)]
+    labels = [None] * n
+    clusters = []
+    for start in range(n):
+        if labels[start] is not None or not core[start]:
+            continue
+        cid = len(clusters)
+        labels[start] = cid
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            if not core[p]:
+                continue
+            for q in neighbors[p]:
+                if labels[q] is None:
+                    labels[q] = cid
+                    queue.append(q)
+        clusters.append(sorted(i for i in range(n) if labels[i] == cid))
+    noise = [i for i in range(n) if labels[i] is None]
+    return clusters, noise
 
 
 def strict_orders_bruteforce(labels):

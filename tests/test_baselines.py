@@ -11,6 +11,11 @@ Claims covered:
   eps -> cluster-count table and the eps=2 common matrices;
 - average-linkage merges match a quadratic-time reference exactly
   (rational heights), with nondecreasing heights;
+- on multisets drawn from small pools (copies and height ties common),
+  dbscan and hierarchical, which work on the distinct points, equal the
+  all-points DBSCAN and the Fraction-scan linkage they replaced; copies
+  merge first at height 0 and equal positive heights fall to the lowest
+  (a, b) pair; a negative eps is refused;
 - cut(d, 0) separates distinct points, cut at max height yields one
   cluster, and threshold semantics never depend on float rounding.
 """
@@ -40,7 +45,12 @@ from hassemine.baselines import (
 )
 from hassemine.mining import seq_to_matrix
 
-from oracles import average_linkage_oracle, components_unionfind
+from oracles import (
+    average_linkage_fraction_scan,
+    average_linkage_oracle,
+    components_unionfind,
+    dbscan_all_points,
+)
 
 E_UNIVERSE = LabelTable(("e1", "e2", "e5", "e6", "e11"))
 J5 = ("e1", "e2", "e5", "e6", "e11")
@@ -208,6 +218,87 @@ def test_dbscan_min_samples_noise():
     assert noise == [3]
     with pytest.raises(ValueError):
         dbscan(pts, 1, min_samples=0)
+
+
+def _l1_table(pts):
+    return [[l1_distance(a, b) for b in pts.points] for a in pts.points]
+
+
+def _assert_matches_oracles(pts, eps, min_samples):
+    table = _l1_table(pts)
+    merges = list(hierarchical(pts).merges)
+    assert merges == average_linkage_fraction_scan(table)
+    assert merges == average_linkage_oracle(table)
+    assert dbscan(pts, eps, min_samples) == dbscan_all_points(table, eps, min_samples)
+
+
+def test_distinct_point_baselines_match_oracles_on_multisets():
+    rng = random.Random(29)
+    for _ in range(150):
+        m = rng.randint(2, 4)
+        pool = _random_points(rng, rng.randint(1, 5), m).points
+        n = rng.randint(1, 40)
+        pts = MatrixPointSet(
+            tuple(rng.choice(pool) for _ in range(n)), tuple(map(str, range(n)))
+        )
+        eps = rng.choice((0, 1, 1.5, 2, 3))
+        _assert_matches_oracles(pts, eps, rng.randint(1, 5))
+
+
+def test_distinct_point_baselines_all_distinct():
+    rng = random.Random(31)
+    pts = _random_points(rng, 60, 4)
+    uniq = tuple(dict.fromkeys(pts.points))[:30]
+    pts = MatrixPointSet(uniq, tuple(map(str, range(len(uniq)))))
+    assert len(pts) == 30
+    for eps, min_samples in ((2, 1), (3, 3), (0, 1)):
+        _assert_matches_oracles(pts, eps, min_samples)
+
+
+def test_hierarchical_copies_then_equal_positive_heights():
+    labels = LabelTable(("a", "b", "c"))
+    # one set bit each: every two distinct points are at L1 distance 2
+    e1, e2, e3 = (
+        BoolMatrix(labels, rows) for rows in ((2, 0, 0), (0, 4, 0), (0, 0, 1))
+    )
+    pts = MatrixPointSet((e1, e2, e1, e3, e2), tuple(map(str, range(5))))
+    merges = hierarchical(pts).merges
+    assert merges == ((0, 2, 0), (1, 4, 0), (3, 5, 2), (6, 7, 2))
+    assert list(merges) == average_linkage_fraction_scan(_l1_table(pts))
+
+
+def _bits(labels, *cells):
+    rows = [0] * len(labels)
+    for cell in cells:
+        rows[cell // len(labels)] |= 1 << cell % len(labels)
+    return BoolMatrix(labels, tuple(rows))
+
+
+def test_dbscan_border_point_joins_first_cluster_built():
+    labels = LabelTable(("a", "b", "c"))
+    a = _bits(labels)
+    d = _bits(labels, 0, 1)
+    b = _bits(labels, 2, 3)
+    c = _bits(labels, 2, 3, 4, 5)
+    e = _bits(labels, 2, 3, 4, 5, 6, 7)
+    # eps=2, min_samples=4: a and c are core, b is within eps of both but
+    # has only 3 points in its ball, and a, c are 4 apart
+    for order, want in (
+        ((a, d, d, b, c, e, e), ([[0, 1, 2, 3], [4, 5, 6]], [])),
+        ((c, e, e, b, a, d, d), ([[0, 1, 2, 3], [4, 5, 6]], [])),
+        ((e, b, d, a, e, c, d), ([[1, 2, 3, 6], [0, 4, 5]], [])),
+    ):
+        pts = MatrixPointSet(order, tuple(map(str, range(7))))
+        assert dbscan(pts, 2, 4) == want
+        assert dbscan(pts, 2, 4) == dbscan_all_points(_l1_table(pts), 2, 4)
+
+
+def test_dbscan_negative_eps_rejected():
+    with pytest.raises(ValueError, match="eps"):
+        dbscan(TYPE_POINTS, -1)
+    with pytest.raises(ValueError, match="eps"):
+        dbscan(TYPE_POINTS, Fraction(-1, 2))
+    assert dbscan(TYPE_POINTS, -0.0) == dbscan(TYPE_POINTS, 0)
 
 
 def test_hierarchical_two_points():

@@ -333,6 +333,16 @@ def test_baseline_missing_parameter(tmp_path, capsys):
     assert code == 2 and "--threshold" in err
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_baseline_bad_eps(tmp_path, capsys, eps):
+    src = simulate_file(tmp_path, "types.jsonl", 2, 7)
+    code, out, err = run_cli(
+        capsys, "baseline", "--algo", "dbscan", "--in", str(src),
+        "--labels", "e1,e2", "--eps", eps,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "bogus")[0] == 2

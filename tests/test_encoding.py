@@ -6,6 +6,8 @@ Claims covered:
   relevance_scores, hasse_cluster, dbscan and hierarchical give what the
   per-sequence code they replaced and the brute-force oracles give, and
   equal points of a MatrixPointSet are one shared matrix object;
+- cluster_common_matrices, which encodes the members once, gives what one
+  common_matrix call per cluster gives;
 - the encoder keeps the error behaviour of the per-sequence code: an empty
   point set needs no labels, an empty common matrix raises EmptyInput,
   the label cap is checked before the universes, and seq_to_matrix raises
@@ -27,6 +29,7 @@ from hassemine import (
     MatrixPointSet,
     SubsetSequence,
     TooManyLabels,
+    cluster_common_matrices,
     common_matrix,
     dbscan,
     hasse_cluster,
@@ -113,6 +116,20 @@ def test_shared_encoding_matches_per_sequence_oracles():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] <= eps]
         assert dbscan(points, eps) == (components_unionfind(n, edges), [])
         assert list(hierarchical(points).merges) == average_linkage_oracle(dist)
+
+
+def test_cluster_common_matrices_match_per_cluster_calls():
+    rng = random.Random(37)
+    for _ in range(40):
+        pool = _pool(rng)
+        corpus = [rng.choice(pool) for _ in range(rng.randint(6, 14))]
+        points = MatrixPointSet.from_sequences(corpus, J)
+        clusters, _ = dbscan(points, rng.randint(0, 2), rng.randint(1, 3))
+        got = cluster_common_matrices(clusters, corpus, J)
+        assert got == [common_matrix([corpus[i] for i in c], J) for c in clusters]
+    assert cluster_common_matrices([], corpus, J) == []
+    with pytest.raises(EmptyInput):
+        cluster_common_matrices([[0], []], corpus, J)
 
 
 def test_encoder_error_behaviour():

@@ -89,6 +89,12 @@ def test_dbscan_estimator_matches_functional():
     assert est.fit_predict(points) == est.labels_
 
 
+def test_dbscan_estimator_rejects_negative_eps():
+    points = MatrixPointSet.from_sequences(TYPE_SEQS, J5)
+    with pytest.raises(ValueError, match="eps"):
+        MatrixDBSCAN(eps=-1).fit(points)
+
+
 def test_dbscan_noise_labels():
     points = SequenceMatrixEncoder(J5).transform(TYPE_SEQS)
     est = MatrixDBSCAN(eps=2, min_samples=3).fit(points)
