@@ -48,8 +48,6 @@ def _load(args):
 
 
 def cmd_enumerate(args) -> int:
-    if not 1 <= args.m <= 6:
-        raise ValueError("--m must be between 1 and 6")
     table = LabelTable(tuple(f"x{i}" for i in range(1, args.m + 1)))
     category = enumerate_category(table)
     print(len(category))

@@ -8,7 +8,8 @@ and reducing each one. Counts follow OEIS A001035.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .errors import LabelMismatch, TooManyLabels
 from .graphs import (
@@ -29,78 +30,115 @@ LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
 MAX_LABELS = 6
 
 
+def _closed_sets(need: Sequence[int]) -> list[int]:
+    """Every vertex set S with need[x] inside S for each x in S, each once.
+
+    need[x] must be x's strict down-set (or up-set) in a strict order. Then
+    taking the vertices in ascending size of need[x] visits each x after
+    all of need[x], and the closed sets of a prefix ending in x are those
+    of the prefix before x, each once without x and, where it already
+    holds need[x], once more with x.
+    """
+    sets = [0]
+    for x in sorted(range(len(need)), key=lambda x: need[x].bit_count()):
+        bit, nx = 1 << x, need[x]
+        sets += [s | bit for s in sets if nx & ~s == 0]
+    return sets
+
+
 @lru_cache(maxsize=None)
 def _strict_orders(m: int) -> tuple[tuple[int, ...], ...]:
     """Every transitively closed irreflexive relation on m vertices, as bit rows.
 
     Built by extending each order on the first m-1 vertices with the new
-    vertex's predecessor set (down) and successor set (up): down must be
-    downward closed, up upward closed, the two disjoint, and every down
-    element already below every up element. Restricting any m-vertex order to
-    its first m-1 vertices inverts the construction, so each order is
-    produced exactly once.
+    vertex's predecessor set (down) and successor set (up). down must be an
+    ideal (downward closed) and up a filter (upward closed); `_closed_sets`
+    grows both from the predecessor and successor rows, so no other subset
+    is tried. A pair is accepted iff up lies inside rows[x] for every x in
+    down. rows[x] is x's strict up-set, so that one test puts every down
+    element below every up element, and as no row holds its own vertex it
+    also keeps down and up disjoint: the relation stays transitive and
+    irreflexive. Restricting any m-vertex order to its first m-1 vertices
+    inverts the construction, so each order is produced exactly once.
     """
     if m == 0:
         return ((),)
-    prev = _strict_orders(m - 1)
     q = m - 1
-    full = (1 << q) - 1
+    new_bit = 1 << q
+    full = new_bit - 1
     out = []
-    for rows in prev:
+    for rows in _strict_orders(q):
         preds = [0] * q
         for i, row in enumerate(rows):
             for j in _bit_indices(row):
                 preds[j] |= 1 << i
-        down_sets = [
-            d for d in range(full + 1)
-            if all(preds[x] & ~d == 0 for x in _bit_indices(d))
-        ]
-        up_sets = [
-            u for u in range(full + 1)
-            if all(rows[x] & ~u == 0 for x in _bit_indices(u))
-        ]
-        for down in down_sets:
-            for up in up_sets:
-                if up & down:
-                    continue
-                if any(up & ~rows[x] for x in _bit_indices(down)):
-                    continue
-                new_rows = tuple(
-                    row | (1 << q) if (down >> i) & 1 else row
-                    for i, row in enumerate(rows)
-                ) + (up,)
-                out.append(new_rows)
+        up_sets = _closed_sets(rows)
+        for down in _closed_sets(preds):
+            cap = full
+            for x in _bit_indices(down):
+                cap &= rows[x]
+            base = tuple(
+                row | new_bit if down >> i & 1 else row for i, row in enumerate(rows)
+            )
+            out.extend(base + (up,) for up in up_sets if up & ~cap == 0)
     return tuple(out)
+
+
+def _canonical_order(orders, m: int) -> list[tuple[int, ...]]:
+    """orders in ascending lexicographic order of the row-major flattened
+    path matrix. The integer key shifts in each row bit-reversed (through a
+    2^m table), so entry (i, j) lands at bit m*m - 1 - (m*i + j) and the
+    first entry is the most significant."""
+    rev = [int(f"{r:0{m}b}"[::-1], 2) for r in range(1 << m)]
+
+    def key(rows):
+        k = 0
+        for row in rows:
+            k = k << m | rev[row]
+        return k
+
+    return sorted(orders, key=key)
 
 
 class CategoryRJ:
     """All quasi-skeleton graphs on one label set, in canonical order.
 
-    graphs[i], path_matrices[i] and flats[i] are parallel; flats[i] is the
+    rows[i] is the i-th strict order as bit rows, and flats[i] is that
     path matrix packed into one int (entry (i, j) at bit m*i + j), so that
-    H generalizes G iff flats[H] & ~flats[G] == 0. The canonical order is
-    ascending lexicographic on the flattened path matrix. Generalization
-    up-sets (the morphism relation) are materialized lazily per graph.
-    Instances are immutable and safe to share.
+    H generalizes G iff flats[H] & ~flats[G] == 0. Both are built with the
+    catalog. The objects are built on first access and then kept:
+    path_matrices[i] (a BoolMatrix of rows[i]), graphs[i] (its transitive
+    reduction as a Digraph) and the rows-to-index map behind index_of.
+    Mining reads only rows and flats. The canonical order is ascending
+    lexicographic on the flattened path matrix, sorted on an integer key
+    (see `_canonical_order`). Generalization up-sets (the morphism
+    relation) are materialized lazily per graph. Instances are immutable
+    and safe to share.
     """
 
     def __init__(self, labels: LabelTable):
         m = len(labels)
         if not 1 <= m <= MAX_LABELS:
             raise TooManyLabels(f"enumeration supports 1..{MAX_LABELS} labels, got {m}")
-        orders = sorted(
-            _strict_orders(m),
-            key=lambda rows: tuple(row >> j & 1 for row in rows for j in range(m)),
-        )
         self.labels = labels
-        self.path_matrices = tuple(BoolMatrix(labels, rows) for rows in orders)
-        self.graphs = tuple(Digraph(labels, _reduction_rows(rows)) for rows in orders)
-        self.flats = tuple(_pack_rows(rows, m) for rows in orders)
-        self._index = {rows: i for i, rows in enumerate(orders)}
+        self.rows = tuple(_canonical_order(_strict_orders(m), m))
+        self.flats = tuple(_pack_rows(rows, m) for rows in self.rows)
         self._upsets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.flats)
+
+    @cached_property
+    def path_matrices(self) -> tuple[BoolMatrix, ...]:
+        return tuple(BoolMatrix(self.labels, rows) for rows in self.rows)
+
+    @cached_property
+    def graphs(self) -> tuple[Digraph, ...]:
+        return tuple(Digraph(self.labels, _reduction_rows(rows)) for rows in self.rows)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {rows: i for i, rows in enumerate(self.rows)}
 
     def index_of(self, matrix: BoolMatrix) -> int:
         """Position of a path matrix in the canonical order."""

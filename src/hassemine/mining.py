@@ -199,6 +199,13 @@ def hasse_cluster(
     yields no sets (the CLI exits 3): the empty set already meets the
     threshold, so every candidate has a threshold-meeting proper subset.
 
+    In literal mode, candidates that dominate each other all drop, so the
+    output can be empty where minimal mode returns a set. When the arrowless
+    graph is the only one under any sequence, every candidate holds it,
+    and {arrowless} and {arrowless, H} dominate each other for every H: at
+    r >= 2 literal mode outputs nothing, minimal mode {arrowless}
+    (test_hasse_cluster_mode_divergence pins this).
+
     The dominance test works on U, the distinct graphs in any candidate:
     for each candidate C'' it ORs the up-sets (within U) of its members,
     then ORs the candidate masks of the graphs of U outside that union;
@@ -294,7 +301,7 @@ def hasse_cluster(
     # _undominated requires.
     kept = _undominated(candidates, flats)
     clusters = tuple(
-        tuple(cat.path_matrices[h] for h in candidates[i]) for i in kept
+        tuple(BoolMatrix(table, cat.rows[h]) for h in candidates[i]) for i in kept
     )
     covered = tuple(covered_count(cand_masks[i]) for i in kept)
     return ClusterOutput(clusters, covered, total, frac, r, mode)

@@ -7,10 +7,12 @@ recomputes every cross-cluster mean from the raw distance matrix. The rest
 are slower formulations kept to check faster ones: the Fraction-scan
 average linkage and the all-points DBSCAN that the baselines ran before
 they worked on the distinct points; the pairwise dominance filter that
-hasse_cluster used before its bitset test; the per-sequence
-order matrix, common-matrix loop and relevance tally that ran before the
-corpus was encoded once per distinct sequence; and a harness that checks
-five characterizations of sequence/diagram consistency against each other.
+hasse_cluster used before its bitset test; the subset-filtering strict
+order build the catalog used before it grew ideals and filters; the
+per-sequence order matrix, common-matrix loop and relevance tally that ran
+before the corpus was encoded once per distinct sequence; and a harness
+that checks five characterizations of sequence/diagram consistency against
+each other.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from hassemine import Digraph, NotSimple, r_set, restrict
+from hassemine.graphs import _bit_indices
 from hassemine.sequences import (
     EventSequence,
     flattenings,
@@ -208,6 +211,46 @@ def strict_orders_bruteforce(labels):
             continue
         out.append(frozenset(rel))
     return out
+
+
+def strict_orders_filtering(m):
+    """Every strict order on m vertices as bit rows, in canonical order, as
+    the catalog was first built: each order on the first q vertices is
+    extended by every (down, up) pair of its downward and upward closed
+    subsets, both found by testing all 2^q subsets, that is disjoint and has
+    every down element below every up element; the result is sorted on the
+    tuple of row-major flattened entries."""
+    orders = [()]
+    for q in range(m):
+        full = (1 << q) - 1
+        grown = []
+        for rows in orders:
+            preds = [0] * q
+            for i, row in enumerate(rows):
+                for j in _bit_indices(row):
+                    preds[j] |= 1 << i
+            down_sets = [
+                d for d in range(full + 1)
+                if all(preds[x] & ~d == 0 for x in _bit_indices(d))
+            ]
+            up_sets = [
+                u for u in range(full + 1)
+                if all(rows[x] & ~u == 0 for x in _bit_indices(u))
+            ]
+            for down in down_sets:
+                for up in up_sets:
+                    if up & down:
+                        continue
+                    if any(up & ~rows[x] for x in _bit_indices(down)):
+                        continue
+                    grown.append(tuple(
+                        row | (1 << q) if (down >> i) & 1 else row
+                        for i, row in enumerate(rows)
+                    ) + (up,))
+        orders = grown
+    return sorted(
+        orders, key=lambda rows: tuple(row >> j & 1 for row in rows for j in range(m))
+    )
 
 
 def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):

@@ -119,6 +119,7 @@ def test_enumerate_bad_m(capsys):
         code, _, err = run_cli(capsys, "enumerate", "--m", bad)
         assert code == 2
         assert "error:" in err
+        assert "1..6" in err
 
 
 def test_simulate_round_trip(tmp_path, capsys):

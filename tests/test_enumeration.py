@@ -3,6 +3,8 @@
 Claims covered:
 - graph counts match the labeled-poset sequence 1, 3, 19, 219, 4231 (130023
   at the m=6 cap);
+- the catalog equals the subset-filtering build entry for entry: rows and
+  flats at m <= 6, path matrices, graphs and index_of at m <= 5;
 - every enumerated graph is quasi-skeleton, path matrices are pairwise
   distinct, and reduction-of-closure fixes each graph;
 - has_morphism equals direct relation inclusion (independent oracle);
@@ -17,7 +19,7 @@ import random
 
 import pytest
 
-from hassemine import Digraph, LabelTable, LabelMismatch, TooManyLabels
+from hassemine import BoolMatrix, Digraph, LabelTable, LabelMismatch, TooManyLabels
 from hassemine import is_quasi_skeleton, path_matrix, r_set, transitive_closure, transitive_reduction
 from hassemine.graphs import _pack_rows
 from hassemine.enumeration import (
@@ -27,11 +29,15 @@ from hassemine.enumeration import (
     has_morphism,
 )
 
-from oracles import morphism_oracle
+from oracles import morphism_oracle, strict_orders_filtering
 
 
 def _table(m):
     return LabelTable(tuple(f"e{i}" for i in range(1, m + 1)))
+
+
+def _packed(rows, m):
+    return sum(row << (m * i) for i, row in enumerate(rows))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -40,7 +46,27 @@ def test_counts_match_labeled_poset_sequence(m):
 
 
 def test_count_at_cap():
-    assert len(enumerate_category(_table(6))) == LABELED_POSET_COUNTS[6]
+    cat = enumerate_category(_table(6))
+    assert len(cat) == LABELED_POSET_COUNTS[6]
+    # entry for entry against the subset-filtering build, without objects
+    want = strict_orders_filtering(6)
+    assert list(cat.rows) == want
+    assert list(cat.flats) == [_packed(rows, 6) for rows in want]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_catalog_matches_filtering_oracle(m):
+    table = _table(m)
+    cat = enumerate_category(table)
+    want = strict_orders_filtering(m)
+    assert list(cat.rows) == want
+    assert list(cat.flats) == [_packed(rows, m) for rows in want]
+    assert cat.path_matrices == tuple(BoolMatrix(table, rows) for rows in want)
+    assert cat.graphs == tuple(
+        transitive_reduction(Digraph(table, rows)) for rows in want
+    )
+    for i, rows in enumerate(want):
+        assert cat.index_of(BoolMatrix(table, rows)) == i
 
 
 def test_cap_enforced():

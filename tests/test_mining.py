@@ -39,6 +39,7 @@ from hassemine import (
     TooManyLabels,
 )
 from hassemine import mining
+from hassemine.enumeration import enumerate_category
 from hassemine.game import corrupt, simulate, v2_config
 from hassemine.mining import (
     common_matrix,
@@ -52,6 +53,7 @@ from oracles import (
     dominance_filter_pairwise,
     hasse_cluster_bruteforce,
     strict_orders_bruteforce,
+    strict_orders_filtering,
 )
 
 E_UNIVERSE = LabelTable(("e1", "e2", "e5", "e6", "e11"))
@@ -275,6 +277,26 @@ def test_hasse_cluster_mode_divergence():
 
     literal = hasse_cluster(seqs, ("A", "B"), t=100, r=2, mode="literal")
     assert literal.clusters == ()
+
+
+def test_hasse_cluster_builds_no_catalog_objects():
+    # mining reads the catalog's rows and flats only; the graphs and path
+    # matrices of a cold m = 6 catalog would add about 2 s to the first call
+    universe = LabelTable(("a", "b", "c", "d", "e"))
+    forward = EventSequence(universe, universe.labels)
+    backward = EventSequence(universe, universe.labels[::-1])
+    enumerate_category.cache_clear()
+    out = hasse_cluster([forward, backward], universe.labels, t=50, r=1)
+    cat = enumerate_category(universe)
+    assert "graphs" not in vars(cat)
+    assert "path_matrices" not in vars(cat)
+    # each chain covers half, and every other graph under one generalizes it
+    orders = strict_orders_filtering(5)
+    chains = sorted(
+        orders.index(seq_to_matrix(s, universe.labels).rows) for s in (forward, backward)
+    )
+    assert out.clusters == tuple((cat.path_matrices[i],) for i in chains)
+    assert out.covered == (1, 1)
 
 
 def test_hasse_cluster_zero_threshold_minimal_is_empty():
