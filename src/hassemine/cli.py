@@ -18,7 +18,7 @@ import os
 import sys
 
 from .baselines import MatrixPointSet, cluster_common_matrices, cut, dbscan, hierarchical
-from .enumeration import enumerate_category
+from .enumeration import MAX_LABELS, _check_label_count, enumerate_category
 from .errors import HassemineError
 from .estimators import _assignment
 from .game import corrupt_sequences, simulate, v1_config, v2_config
@@ -44,10 +44,15 @@ def _write_text(path, text: str) -> None:
 
 def _load(args):
     universe = _parse_labels(args.universe) if args.universe else None
-    return load_sequences(args.infile, universe=universe)
+    try:
+        return load_sequences(args.infile, universe=universe)
+    except ValueError as exc:
+        exc.args = (f"{args.infile}: {exc}",)
+        raise
 
 
 def cmd_enumerate(args) -> int:
+    _check_label_count(args.m)
     table = LabelTable(tuple(f"x{i}" for i in range(1, args.m + 1)))
     category = enumerate_category(table)
     print(len(category))
@@ -60,8 +65,10 @@ def cmd_enumerate(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(table.labels)
-            for matrix in category.path_matrices:
-                writer.writerow([cell for row in matrix.to_entries() for cell in row])
+            # a flat's m*m binary digits are its row-major entries, and
+            # writerow makes each character of the string one cell
+            width = args.m * args.m
+            writer.writerows(f"{flat:0{width}b}" for flat in category.flats)
     return 0
 
 
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="count order graphs on m labels")
-    p.add_argument("--m", type=int, required=True, help="label count (1..6)")
+    p.add_argument("--m", type=int, required=True, help=f"label count (1..{MAX_LABELS})")
     p.add_argument("--dot", metavar="DIR", help="write one DOT file per graph")
     p.add_argument(
         "--csv",

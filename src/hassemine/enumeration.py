@@ -8,6 +8,7 @@ and reducing each one. Counts follow OEIS A001035.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .graphs import (
     _bit_indices,
     _pack_rows,
     _reduction_rows,
+    _unpack_rows,
     path_matrix,
 )
 
@@ -28,6 +30,12 @@ LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
 
 #: Hard enumeration cap; one unit of headroom over the m <= 5 workloads.
 MAX_LABELS = 6
+
+
+def _check_label_count(m: int) -> None:
+    """Raise TooManyLabels unless 1 <= m <= MAX_LABELS."""
+    if not 1 <= m <= MAX_LABELS:
+        raise TooManyLabels(f"enumeration supports 1..{MAX_LABELS} labels, got {m}")
 
 
 def _closed_sets(need: Sequence[int]) -> list[int]:
@@ -47,8 +55,9 @@ def _closed_sets(need: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _strict_orders(m: int) -> tuple[tuple[int, ...], ...]:
-    """Every transitively closed irreflexive relation on m vertices, as bit rows.
+def _strict_orders(m: int) -> tuple[int, ...]:
+    """Every transitively closed irreflexive relation on m vertices, as
+    `_pack_rows` ints in ascending order, which is the canonical order.
 
     Built by extending each order on the first m-1 vertices with the new
     vertex's predecessor set (down) and successor set (up). down must be an
@@ -59,74 +68,67 @@ def _strict_orders(m: int) -> tuple[tuple[int, ...], ...]:
     element below every up element, and as no row holds its own vertex it
     also keeps down and up disjoint: the relation stays transitive and
     irreflexive. Restricting any m-vertex order to its first m-1 vertices
-    inverts the construction, so each order is produced exactly once.
+    inverts the construction, so each order is produced exactly once. The
+    packed order is the (m-1)-order's entries, plus the new column (from
+    down) and the new last row (from up), each read from a 2^(m-1) table.
     """
     if m == 0:
-        return ((),)
+        return (0,)
     q = m - 1
     new_bit = 1 << q
     full = new_bit - 1
+    column = [
+        _pack_rows([new_bit if down >> i & 1 else 0 for i in range(q)], m)
+        for down in range(new_bit)
+    ]
+    last_row = [_pack_rows([0] * q + [up], m) for up in range(new_bit)]
     out = []
-    for rows in _strict_orders(q):
+    for flat in _strict_orders(q):
+        rows = _unpack_rows(flat, q)
         preds = [0] * q
         for i, row in enumerate(rows):
             for j in _bit_indices(row):
                 preds[j] |= 1 << i
         up_sets = _closed_sets(rows)
+        base = _pack_rows(rows, m)
         for down in _closed_sets(preds):
             cap = full
             for x in _bit_indices(down):
                 cap &= rows[x]
-            base = tuple(
-                row | new_bit if down >> i & 1 else row for i, row in enumerate(rows)
-            )
-            out.extend(base + (up,) for up in up_sets if up & ~cap == 0)
+            head = base | column[down]
+            out.extend(head | last_row[up] for up in up_sets if up & ~cap == 0)
+    out.sort()
     return tuple(out)
-
-
-def _canonical_order(orders, m: int) -> list[tuple[int, ...]]:
-    """orders in ascending lexicographic order of the row-major flattened
-    path matrix. The integer key shifts in each row bit-reversed (through a
-    2^m table), so entry (i, j) lands at bit m*m - 1 - (m*i + j) and the
-    first entry is the most significant."""
-    rev = [int(f"{r:0{m}b}"[::-1], 2) for r in range(1 << m)]
-
-    def key(rows):
-        k = 0
-        for row in rows:
-            k = k << m | rev[row]
-        return k
-
-    return sorted(orders, key=key)
 
 
 class CategoryRJ:
     """All quasi-skeleton graphs on one label set, in canonical order.
 
-    rows[i] is the i-th strict order as bit rows, and flats[i] is that
-    path matrix packed into one int (entry (i, j) at bit m*i + j), so that
-    H generalizes G iff flats[H] & ~flats[G] == 0. Both are built with the
-    catalog. The objects are built on first access and then kept:
-    path_matrices[i] (a BoolMatrix of rows[i]), graphs[i] (its transitive
-    reduction as a Digraph) and the rows-to-index map behind index_of.
-    Mining reads only rows and flats. The canonical order is ascending
-    lexicographic on the flattened path matrix, sorted on an integer key
-    (see `_canonical_order`). Generalization up-sets (the morphism
-    relation) are materialized lazily per graph. Instances are immutable
-    and safe to share.
+    The catalog stores flats only: flats[i] is the i-th path matrix packed
+    by `_pack_rows` (entry (i, j) at bit m*m - 1 - (m*i + j)), so the
+    canonical order, ascending lexicographic on the row-major flattened
+    path matrix, is ascending int order, and H generalizes G iff
+    flats[H] & ~flats[G] == 0. Mining reads flats only. Built on first
+    access and then kept: rows[i] (the bit rows of flats[i]),
+    path_matrices[i] (a BoolMatrix of rows[i]) and graphs[i] (its
+    transitive reduction as a Digraph). index_of packs its matrix and
+    bisects flats. Generalization up-sets (the morphism relation) are
+    materialized lazily per graph. Instances are immutable and safe to
+    share.
     """
 
     def __init__(self, labels: LabelTable):
-        m = len(labels)
-        if not 1 <= m <= MAX_LABELS:
-            raise TooManyLabels(f"enumeration supports 1..{MAX_LABELS} labels, got {m}")
+        _check_label_count(len(labels))
         self.labels = labels
-        self.rows = tuple(_canonical_order(_strict_orders(m), m))
-        self.flats = tuple(_pack_rows(rows, m) for rows in self.rows)
+        self.flats = _strict_orders(len(labels))
         self._upsets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.flats)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_unpack_rows(flat, len(self.labels)) for flat in self.flats)
 
     @cached_property
     def path_matrices(self) -> tuple[BoolMatrix, ...]:
@@ -136,20 +138,15 @@ class CategoryRJ:
     def graphs(self) -> tuple[Digraph, ...]:
         return tuple(Digraph(self.labels, _reduction_rows(rows)) for rows in self.rows)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {rows: i for i, rows in enumerate(self.rows)}
-
     def index_of(self, matrix: BoolMatrix) -> int:
         """Position of a path matrix in the canonical order."""
         if matrix.labels != self.labels:
             raise LabelMismatch("matrix labels differ from the category's")
-        try:
-            return self._index[matrix.rows]
-        except KeyError:
-            raise ValueError(
-                "matrix is not a strict partial order on this label set"
-            ) from None
+        flat = _pack_rows(matrix.rows, len(self.labels))
+        i = bisect_left(self.flats, flat)
+        if i == len(self.flats) or self.flats[i] != flat:
+            raise ValueError("matrix is not a strict partial order on this label set")
+        return i
 
     def upset(self, i: int) -> tuple[int, ...]:
         """Indices of every generalization of graph i (morphism i -> j)."""

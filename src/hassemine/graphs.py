@@ -171,14 +171,25 @@ def _bit_indices(x: int) -> Iterator[int]:
 
 
 def _pack_rows(rows: Iterable[int], m: int) -> int:
-    """One int holding every row: entry (i, j) at bit m*i + j.
+    """One int holding every row: entry (i, j) at bit m*m - 1 - (m*i + j).
 
-    Containment of relations is then one mask test: a <= b iff a & ~b == 0.
+    The packed int is the row-major flattened matrix read as a binary
+    number, first entry most significant, so ascending int order is the
+    canonical (flattened lexicographic) order. Containment of relations is
+    one mask test: a <= b iff a & ~b == 0. Fewer than m rows pack as if the
+    missing last rows were zero.
     """
-    packed = 0
+    low_first = 0
     for i, row in enumerate(rows):
-        packed |= row << (m * i)
-    return packed
+        low_first |= row << (m * i)
+    return int(f"{low_first:0{m * m}b}"[::-1], 2)
+
+
+def _unpack_rows(packed: int, m: int) -> tuple[int, ...]:
+    """The m bit rows of a `_pack_rows` int."""
+    low_first = int(f"{packed:0{m * m}b}"[::-1], 2)
+    mask = (1 << m) - 1
+    return tuple(low_first >> (m * i) & mask for i in range(m))
 
 
 def _closure_rows(rows: tuple[int, ...]) -> tuple[int, ...]:

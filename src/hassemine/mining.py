@@ -33,7 +33,7 @@ from .errors import (
     MissingClass,
 )
 from .exact import exact_fraction
-from .graphs import BoolMatrix, LabelTable, _bit_indices, _pack_rows
+from .graphs import BoolMatrix, LabelTable, _bit_indices, _pack_rows, _unpack_rows
 from .sequences import AnySequence
 
 
@@ -206,6 +206,25 @@ def hasse_cluster(
     r >= 2 literal mode outputs nothing, minimal mode {arrowless}
     (test_hasse_cluster_mode_divergence pins this).
 
+    Catalog graphs are grouped by the mask of distinct sequence matrices
+    they lie under, and candidates come from combinations of group masks.
+    A combination that meets the threshold is minimal iff each of its
+    sub-combinations one smaller fails: coverage only grows with the union
+    of masks, so no smaller one can then meet it. At size 1 that checks the
+    empty union, which is how t = 0 yields no sets.
+
+    Minimal mode emits one candidate per minimal combination: its groups'
+    tops. The top of a nonempty group M is the AND of M's matrices, a
+    strict order that lies in M, and every other member of M is a proper
+    subset of it. The mask-0 group never enters a minimal combination, as
+    dropping it leaves the union unchanged. So the tops dominate every
+    other pick of one member per group, and every candidate that such a
+    pick dominates. No other pick dominates its tops: a generalization of a
+    member of group M lies in a group whose mask holds M, and a minimal
+    combination holds no mask inside another. The output is thus the one
+    that taking every pick would give. Literal mode still takes every pick:
+    its answers depend on graphs that lie under no sequence.
+
     The dominance test works on U, the distinct graphs in any candidate:
     for each candidate C'' it ORs the up-sets (within U) of its members,
     then ORs the candidate masks of the graphs of U outside that union;
@@ -231,6 +250,8 @@ def hasse_cluster(
     mult = list(counts.values())
     d_flats = [_pack_rows(rows, m) for rows in counts]
 
+    # flats ascend and a proper superset is a larger int, so each group's
+    # last member is its top (the one whose flat holds all the others')
     flats = cat.flats
     groups: dict[int, list[int]] = {}
     for h, fh in enumerate(flats):
@@ -272,16 +293,10 @@ def hasse_cluster(
             if not meets(union):
                 continue
             if mode == "minimal":
-                if any(
-                    meets(union_of(sub))
-                    for short in range(size)
-                    for sub in combinations(combo, short)
-                ):
+                if any(meets(union_of(sub)) for sub in combinations(combo, size - 1)):
                     continue
-                picks = product(*(groups[msk] for msk in combo))
-                for pick in picks:
-                    candidates.append(tuple(sorted(pick)))
-                    cand_masks.append(union)
+                candidates.append(tuple(sorted(groups[msk][-1] for msk in combo)))
+                cand_masks.append(union)
             else:
                 tally = Counter(combo)
                 picks = product(
@@ -301,7 +316,8 @@ def hasse_cluster(
     # _undominated requires.
     kept = _undominated(candidates, flats)
     clusters = tuple(
-        tuple(BoolMatrix(table, cat.rows[h]) for h in candidates[i]) for i in kept
+        tuple(BoolMatrix(table, _unpack_rows(flats[h], m)) for h in candidates[i])
+        for i in kept
     )
     covered = tuple(covered_count(cand_masks[i]) for i in kept)
     return ClusterOutput(clusters, covered, total, frac, r, mode)

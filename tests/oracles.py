@@ -7,7 +7,9 @@ recomputes every cross-cluster mean from the raw distance matrix. The rest
 are slower formulations kept to check faster ones: the Fraction-scan
 average linkage and the all-points DBSCAN that the baselines ran before
 they worked on the distinct points; the pairwise dominance filter that
-hasse_cluster used before its bitset test; the subset-filtering strict
+hasse_cluster used before its bitset test; the minimal-mode candidate
+search that took every member of each group of a minimal combination and
+tested all of its sub-combinations; the subset-filtering strict
 order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; and a harness
@@ -17,12 +19,14 @@ each other.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
-from hassemine import Digraph, NotSimple, r_set, restrict
-from hassemine.graphs import _bit_indices
+from hassemine import Digraph, LabelTable, NotSimple, r_set, restrict, seq_to_matrix
+from hassemine.enumeration import enumerate_category
+from hassemine.graphs import _bit_indices, _pack_rows
+from hassemine.mining import _undominated
 from hassemine.sequences import (
     EventSequence,
     flattenings,
@@ -260,8 +264,6 @@ def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):
     subset sequences. Returns the undominated candidates as a set of
     frozensets, each inner frozenset one order's pair set.
     """
-    from itertools import combinations
-
     def order_pairs(events):
         pos = {}
         for idx, e in enumerate(events):
@@ -328,6 +330,48 @@ def dominance_filter_pairwise(candidates, flats):
         return False
 
     return [i for i, cand in enumerate(candidates) if not has_incoming(cand)]
+
+
+def hasse_cluster_every_pick(seqs, j_labels, t, r):
+    """Minimal-mode hasse_cluster as it ran before it took one candidate
+    per minimal group combination. Catalog graphs are grouped by the mask
+    of distinct sequence matrices they lie under; a combination of group
+    masks is minimal iff it meets the threshold and none of its 2^size
+    proper sub-combinations does; every pick of one member from each of
+    its groups is a candidate; the candidates pass the dominance filter.
+    Returns the output sets as (flats of the members, covered) pairs."""
+    table = LabelTable(tuple(j_labels))
+    m = len(table)
+    flats = enumerate_category(table).flats
+    counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
+    distinct = list(counts)
+    groups = {}
+    for h, fh in enumerate(flats):
+        mask = sum(1 << k for k, d in enumerate(distinct) if fh & ~d == 0)
+        groups.setdefault(mask, []).append(h)
+    threshold = Fraction(str(t)) * len(seqs)
+
+    def covered(masks):
+        union = 0
+        for msk in masks:
+            union |= msk
+        return sum(counts[d] for k, d in enumerate(distinct) if union >> k & 1)
+
+    def meets(masks):
+        return covered(masks) * 100 >= threshold
+
+    cands = []
+    for size in range(1, r + 1):
+        for combo in combinations(sorted(groups), size):
+            if not meets(combo) or any(
+                meets(sub) for short in range(size) for sub in combinations(combo, short)
+            ):
+                continue
+            for pick in product(*(groups[msk] for msk in combo)):
+                cands.append((tuple(sorted(pick)), covered(combo)))
+    cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
+    kept = _undominated([members for members, _ in cands], flats)
+    return [(tuple(flats[h] for h in cands[i][0]), cands[i][1]) for i in kept]
 
 
 def order_rows_oracle(s, j_labels):

@@ -3,7 +3,9 @@
 Claims covered:
 - enumerate prints the catalog size for m labels (1, 3, 19, 219 for
   m = 1..4), writes one DOT file per graph and one flattened path-matrix
-  row per CSV line, and rejects m outside 1..6 with exit 2;
+  row per CSV line (byte for byte the path matrices at m <= 5, a pinned
+  digest at m = 6), and rejects m outside 1..6 with exit 2 and a message
+  naming the m it was given;
 - simulate --out then load yields exactly the in-process episodes, and
   reruns are byte-identical;
 - corrupt at fraction 0 is the identity, is reproducible per seed, and
@@ -17,11 +19,15 @@ Claims covered:
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
-  do malformed sequence files, with the offending file line in the message.
+  do malformed sequence files, with the file name and the offending line
+  in the message.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
 import math
 
@@ -40,6 +46,7 @@ from hassemine import (
     v2_config,
 )
 from hassemine.cli import main
+from hassemine.enumeration import enumerate_category
 
 J5 = LabelTable(("e1", "e2", "e5", "e6", "e11"))
 
@@ -114,12 +121,31 @@ def test_enumerate_artifacts(tmp_path, capsys):
     assert cells <= {"0", "1"}
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_enumerate_csv_rows_are_path_matrices(tmp_path, capsys, m):
+    csv_path = tmp_path / "cat.csv"
+    assert run_cli(capsys, "enumerate", "--m", str(m), "--csv", str(csv_path))[0] == 0
+    table = LabelTable(tuple(f"x{i}" for i in range(1, m + 1)))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(table.labels)
+    for matrix in enumerate_category(table).path_matrices:
+        writer.writerow([cell for row in matrix.to_entries() for cell in row])
+    assert csv_path.read_bytes() == want.getvalue().encode()
+
+
+def test_enumerate_csv_m6_digest(tmp_path, capsys):
+    csv_path = tmp_path / "cat.csv"
+    assert run_cli(capsys, "enumerate", "--m", "6", "--csv", str(csv_path))[0] == 0
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "fe327d139eef4d7ba7bbef804020360f7bbd6f1c688430a6da38f91f45cff0a7"
+
+
 def test_enumerate_bad_m(capsys):
     for bad in ("0", "7", "-2"):
         code, _, err = run_cli(capsys, "enumerate", "--m", bad)
         assert code == 2
-        assert "error:" in err
-        assert "1..6" in err
+        assert err == f"error: enumeration supports 1..6 labels, got {bad}\n"
 
 
 def test_simulate_round_trip(tmp_path, capsys):
@@ -359,6 +385,8 @@ def test_usage_errors(capsys):
         '{"events": ["a"], "label": true}',
         '{"events": ["a"], "label": 1.0}',
         '{"events": ["a"],, "label": 1}',
+        '{"events": ["a"',
+        '{"events": ["a", "d"]}',
     ],
 )
 def test_malformed_input_exits_2_with_line(tmp_path, capsys, record):
@@ -366,4 +394,4 @@ def test_malformed_input_exits_2_with_line(tmp_path, capsys, record):
     path.write_text('{"universe": ["a", "b", "c"]}\n' + record + "\n")
     code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b")
     assert code == 2 and out == ""
-    assert err.startswith("error: line 2: ")
+    assert err.startswith(f"error: {path}: line 2: ")

@@ -4,12 +4,14 @@ Claims covered:
 - graph counts match the labeled-poset sequence 1, 3, 19, 219, 4231 (130023
   at the m=6 cap);
 - the catalog equals the subset-filtering build entry for entry: rows and
-  flats at m <= 6, path matrices, graphs and index_of at m <= 5;
+  flats at m <= 6, path matrices, graphs and index_of at m <= 5, and its
+  flats strictly ascend (ascending int order is the canonical order);
 - every enumerated graph is quasi-skeleton, path matrices are pairwise
   distinct, and reduction-of-closure fixes each graph;
 - has_morphism equals direct relation inclusion (independent oracle);
 - generalization up-sets match brute force;
-- the packed flats are the path matrices, one bit per entry, and mask
+- the packed flats are the path matrices, one bit per entry with entry
+  (i, j) at bit m*m - 1 - (m*i + j), unpack to their rows, and mask
   containment on them is the morphism relation.
 """
 
@@ -21,7 +23,7 @@ import pytest
 
 from hassemine import BoolMatrix, Digraph, LabelTable, LabelMismatch, TooManyLabels
 from hassemine import is_quasi_skeleton, path_matrix, r_set, transitive_closure, transitive_reduction
-from hassemine.graphs import _pack_rows
+from hassemine.graphs import _pack_rows, _unpack_rows
 from hassemine.enumeration import (
     LABELED_POSET_COUNTS,
     enumerate_category,
@@ -36,8 +38,16 @@ def _table(m):
     return LabelTable(tuple(f"e{i}" for i in range(1, m + 1)))
 
 
-def _packed(rows, m):
-    return sum(row << (m * i) for i, row in enumerate(rows))
+def _packed(orders, m):
+    """Each order's row-major flattened matrix, read as a binary number."""
+    reversed_row = [int(f"{row:0{m}b}"[::-1], 2) for row in range(1 << m)]
+    out = []
+    for rows in orders:
+        flat = 0
+        for row in rows:
+            flat = flat << m | reversed_row[row]
+        out.append(flat)
+    return out
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -51,7 +61,8 @@ def test_count_at_cap():
     # entry for entry against the subset-filtering build, without objects
     want = strict_orders_filtering(6)
     assert list(cat.rows) == want
-    assert list(cat.flats) == [_packed(rows, 6) for rows in want]
+    assert list(cat.flats) == _packed(want, 6)
+    assert all(a < b for a, b in zip(cat.flats, cat.flats[1:]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -60,7 +71,8 @@ def test_catalog_matches_filtering_oracle(m):
     cat = enumerate_category(table)
     want = strict_orders_filtering(m)
     assert list(cat.rows) == want
-    assert list(cat.flats) == [_packed(rows, m) for rows in want]
+    assert list(cat.flats) == _packed(want, m)
+    assert all(a < b for a, b in zip(cat.flats, cat.flats[1:]))
     assert cat.path_matrices == tuple(BoolMatrix(table, rows) for rows in want)
     assert cat.graphs == tuple(
         transitive_reduction(Digraph(table, rows)) for rows in want
@@ -178,7 +190,8 @@ def test_flats_pack_path_matrices():
     assert len(cat.flats) == len(cat)
     for flat, pm in zip(cat.flats, cat.path_matrices):
         assert flat == _pack_rows(pm.rows, 3)
-        assert [flat >> (3 * i + j) & 1 for i in range(3) for j in range(3)] == list(
+        assert _unpack_rows(flat, 3) == pm.rows
+        assert [flat >> (8 - (3 * i + j)) & 1 for i in range(3) for j in range(3)] == list(
             pm.sort_key()
         )
     for i, a in enumerate(cat.graphs):

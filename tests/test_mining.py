@@ -11,6 +11,8 @@ Claims covered:
   coverage, size, consistency, and minimality invariants;
 - its candidates are pairwise distinct sets, and the bitset dominance
   filter keeps exactly what the pairwise filter it replaced keeps;
+- minimal mode, with one candidate (the group tops) per minimal group
+  combination, outputs what taking every member of each group did;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
 """
@@ -41,6 +43,7 @@ from hassemine import (
 from hassemine import mining
 from hassemine.enumeration import enumerate_category
 from hassemine.game import corrupt, simulate, v2_config
+from hassemine.graphs import _pack_rows
 from hassemine.mining import (
     common_matrix,
     hasse_cluster,
@@ -52,6 +55,7 @@ from hassemine.sequences import EventSequence, SubsetSequence, is_consistent
 from oracles import (
     dominance_filter_pairwise,
     hasse_cluster_bruteforce,
+    hasse_cluster_every_pick,
     strict_orders_bruteforce,
     strict_orders_filtering,
 )
@@ -280,14 +284,15 @@ def test_hasse_cluster_mode_divergence():
 
 
 def test_hasse_cluster_builds_no_catalog_objects():
-    # mining reads the catalog's rows and flats only; the graphs and path
-    # matrices of a cold m = 6 catalog would add about 2 s to the first call
+    # mining reads the catalog's flats only; the rows, graphs and path
+    # matrices of a cold m = 6 catalog would add to the first call
     universe = LabelTable(("a", "b", "c", "d", "e"))
     forward = EventSequence(universe, universe.labels)
     backward = EventSequence(universe, universe.labels[::-1])
     enumerate_category.cache_clear()
     out = hasse_cluster([forward, backward], universe.labels, t=50, r=1)
     cat = enumerate_category(universe)
+    assert "rows" not in vars(cat)
     assert "graphs" not in vars(cat)
     assert "path_matrices" not in vars(cat)
     # each chain covers half, and every other graph under one generalizes it
@@ -437,8 +442,52 @@ def test_dominance_filter_paper_shaped_r3(monkeypatch):
     seen = _oracle_checked_filter(monkeypatch)
     episodes = corrupt(simulate(v2_config(seed=0), 30, "scripted-mixed"), 0.10, 0)
     out = hasse_cluster([ep.events for ep in episodes], J5, t=95, r=3)
-    assert seen == [727]
+    # one candidate per minimal group combination
+    assert seen == [9]
     assert len(out.clusters) == 2
+
+
+def _small_corpus(rng, j, most):
+    """1..10 sequences over j plus one outside label, drawn from a pool of
+    at most six, so that repeats are common. Each pooled sequence is a
+    shuffle of 1..most distinct labels, sometimes with one j label again."""
+    universe = LabelTable(j + ("x",))
+
+    def draw():
+        events = rng.sample(universe.labels, rng.randint(1, most))
+        if rng.random() < 0.3:
+            events.insert(rng.randrange(len(events) + 1), rng.choice(j))
+        return EventSequence(universe, tuple(events))
+
+    pool = [draw() for _ in range(rng.randint(1, 6))]
+    return [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+
+
+def _as_flats(out, m):
+    return [
+        (tuple(_pack_rows(mx.rows, m) for mx in cluster), covered)
+        for cluster, covered in zip(out.clusters, out.covered)
+    ]
+
+
+def test_minimal_tops_match_every_pick_oracle():
+    rng = random.Random(5)
+    for m in (2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        for r in (1, 2, 3):
+            for _ in range(4):
+                seqs = _small_corpus(rng, j, m + 1)
+                for t in range(0, 101, 10):
+                    out = hasse_cluster(seqs, j, t, r)
+                    assert _as_flats(out, m) == hasse_cluster_every_pick(seqs, j, t, r)
+    # At m = 5 a group can hold hundreds of orders, and the oracle takes
+    # their product; sequences of at most four labels keep it small.
+    j = ("a", "b", "c", "d", "e")
+    for _ in range(30):
+        seqs = _small_corpus(rng, j, 4)
+        t, r = rng.randrange(0, 101, 5), rng.randint(1, 4)
+        out = hasse_cluster(seqs, j, t, r)
+        assert _as_flats(out, 5) == hasse_cluster_every_pick(seqs, j, t, r)
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():
