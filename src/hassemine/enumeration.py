@@ -3,7 +3,9 @@
 The quasi-skeleton graphs on m labels correspond one-to-one with the strict
 partial orders on those labels (take the path matrix one way, the transitive
 reduction the other), so the category is built by enumerating strict orders
-and reducing each one. Counts follow OEIS A001035.
+and reducing each one. Counts follow OEIS A001035. Of mining, only
+literal mode reads the catalog; minimal mode finds its diagrams as
+intersections of the sequences' order matrices.
 """
 
 from __future__ import annotations
@@ -108,13 +110,13 @@ class CategoryRJ:
     by `_pack_rows` (entry (i, j) at bit m*m - 1 - (m*i + j)), so the
     canonical order, ascending lexicographic on the row-major flattened
     path matrix, is ascending int order, and H generalizes G iff
-    flats[H] & ~flats[G] == 0. Mining reads flats only. Built on first
-    access and then kept: rows[i] (the bit rows of flats[i]),
-    path_matrices[i] (a BoolMatrix of rows[i]) and graphs[i] (its
-    transitive reduction as a Digraph). index_of packs its matrix and
-    bisects flats. Generalization up-sets (the morphism relation) are
-    materialized lazily per graph. Instances are immutable and safe to
-    share.
+    flats[H] & ~flats[G] == 0. Only literal mining reads the catalog, and
+    it reads flats only. Built on first access and then kept: rows[i]
+    (the bit rows of flats[i]), path_matrices[i] (a BoolMatrix of
+    rows[i]) and graphs[i] (its transitive reduction as a Digraph).
+    index_of packs its matrix and bisects flats. Generalization up-sets
+    (the morphism relation) are materialized lazily per graph. Instances
+    are immutable and safe to share.
     """
 
     def __init__(self, labels: LabelTable):

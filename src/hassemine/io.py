@@ -146,8 +146,19 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
 
 
 def load_sequences(path, universe=None) -> SequenceRecords:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_sequences(handle.read(), universe)
+    """Parse a sequence file; bytes that are not UTF-8 raise ValueError
+    naming their 1-based line, like every other malformed line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ValueError(
+            f"line {number}: invalid UTF-8 at byte {column}: {exc.reason}"
+        ) from None
+    return parse_sequences(text, universe)
 
 
 def save_matrix_csv(path, matrix: BoolMatrix) -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Iterable
 
-from .enumeration import enumerate_category
+from .enumeration import _check_label_count, enumerate_category
 from .errors import (
     EmptyInput,
     EmptyJ,
@@ -141,13 +141,14 @@ def _threshold_fraction(t) -> Fraction:
     return frac
 
 
-def _undominated(candidates: list[tuple[int, ...]], flats) -> list[int]:
+def _undominated(candidates: list[tuple[int, ...]]) -> list[int]:
     """Indices of the candidates that no other candidate dominates.
 
-    a dominates b iff every member ha of a has a generalization hb in b
-    (flats[hb] & ~flats[ha] == 0), i.e. a lies inside up_b, the members of
-    U (all candidates' members) that have a generalization in b. b is kept
-    iff the holders of the members outside up_b, with b itself, are every
+    Each candidate is a tuple of flats (`_pack_rows` path matrices). a
+    dominates b iff every member fa of a has a generalization fb in b
+    (fb & ~fa == 0), i.e. a lies inside up_b, the members of U (all
+    candidates' members) that have a generalization in b. b is kept iff
+    the holders of the members outside up_b, with b itself, are every
     candidate. The candidates must be pairwise distinct sets: then "every
     candidate other than b" is "every index other than b".
     """
@@ -159,10 +160,9 @@ def _undominated(candidates: list[tuple[int, ...]], flats) -> list[int]:
             holders[slot[h]] |= 1 << i
     ups = []
     for u in members:
-        fu = flats[u]
         up = 0
         for k, v in enumerate(members):
-            if fu & ~flats[v] == 0:
+            if u & ~v == 0:
                 up |= 1 << k
         ups.append(up)
     every_member = (1 << len(members)) - 1
@@ -206,12 +206,16 @@ def hasse_cluster(
     r >= 2 literal mode outputs nothing, minimal mode {arrowless}
     (test_hasse_cluster_mode_divergence pins this).
 
-    Catalog graphs are grouped by the mask of distinct sequence matrices
-    they lie under, and candidates come from combinations of group masks.
-    A combination that meets the threshold is minimal iff each of its
-    sub-combinations one smaller fails: coverage only grows with the union
-    of masks, so no smaller one can then meet it. At size 1 that checks the
-    empty union, which is how t = 0 yields no sets.
+    Graphs are grouped by the mask of distinct sequence matrices they lie
+    under, and candidates come from combinations of group masks. The mask
+    of a graph h is the AND of column[e] over the entry bits e of h, where
+    column[e] is the mask of the matrices holding e (every matrix when h
+    is arrowless): at most m(m-1) big-int ANDs per graph, not one subset
+    test per distinct matrix. A combination that meets the threshold is
+    minimal iff each of its sub-combinations one smaller fails: coverage
+    only grows with the union of masks, so no smaller one can then meet
+    it. At size 1 that checks the empty union, which is how t = 0 yields
+    no sets.
 
     Minimal mode emits one candidate per minimal combination: its groups'
     tops. The top of a nonempty group M is the AND of M's matrices, a
@@ -222,8 +226,26 @@ def hasse_cluster(
     pick dominates. No other pick dominates its tops: a generalization of a
     member of group M lies in a group whose mask holds M, and a minimal
     combination holds no mask inside another. The output is thus the one
-    that taking every pick would give. Literal mode still takes every pick:
-    its answers depend on graphs that lie under no sequence.
+    that taking every pick would give.
+
+    Minimal mode needs no catalog to find the groups. If h has mask M != 0,
+    then h lies inside the AND of M, and every matrix holding that AND
+    holds h, so the AND has mask M too: a nonempty group is closed, and
+    its top is the AND of its mask. Conversely the AND of any nonempty set
+    S of the matrices is a strict order, and it tops its own group, as it
+    lies inside the AND of its own mask, which lies inside it. So the
+    nonempty groups are the distinct ANDs of nonempty sets of the
+    matrices: the closed sets of the entry bits, in the sense of frequent
+    closed itemset mining with the matrices as transactions. They are
+    found by prefix-preserving closure extension (Uno et al. 2004, LCM):
+    from the AND of every matrix, a closed top is extended by each entry
+    bit above the one it was reached by, to the AND of the matrices that
+    hold the top and that bit, and the result is kept iff it gains no
+    lower bit. Every nonempty group is reached exactly once, and each
+    costs at most m(m-1) extensions of at most m(m-1) column tests each,
+    however many matrices there are. At m <= 6 there are at most 130023
+    groups. Literal mode still scans the catalog, as its answers depend on
+    graphs that lie under no sequence, and takes every pick.
 
     The dominance test works on U, the distinct graphs in any candidate:
     for each candidate C'' it ORs the up-sets (within U) of its members,
@@ -241,25 +263,49 @@ def hasse_cluster(
         raise InvalidThreshold(f"candidate size cap must be a positive integer, got {r!r}")
     frac = _threshold_fraction(t)
     table = _analysis_table(j_labels)
-    cat = enumerate_category(table)
     m = len(table)
+    _check_label_count(m)
 
-    # Per matrix, not per key: the catalog scan runs once per distinct matrix.
+    # Per matrix, not per key: each distinct matrix gets one mask bit.
     keys, slots = _encode(seqs, table)
     counts = Counter(keys[k][0] for k in slots)
     mult = list(counts.values())
     d_flats = [_pack_rows(rows, m) for rows in counts]
 
-    # flats ascend and a proper superset is a larger int, so each group's
-    # last member is its top (the one whose flat holds all the others')
-    flats = cat.flats
+    # column[e]: the distinct matrices that hold entry bit e
+    every = (1 << len(d_flats)) - 1
+    column = [0] * (m * m)
+    for jbit, df in enumerate(d_flats):
+        for e in _bit_indices(df):
+            column[e] |= 1 << jbit
+    entries = [(1 << e, col) for e, col in enumerate(column) if col]
+
+    def mask_of(flat: int) -> int:
+        mask = every
+        for e in _bit_indices(flat):
+            mask &= column[e]
+        return mask
+
+    def top_of(mask: int) -> int:
+        return sum(bit for bit, col in entries if mask & ~col == 0)
+
     groups: dict[int, list[int]] = {}
-    for h, fh in enumerate(flats):
-        mask = 0
-        for jbit, df in enumerate(d_flats):
-            if fh & ~df == 0:
-                mask |= 1 << jbit
-        groups.setdefault(mask, []).append(h)
+    if mode == "minimal":
+        # every nonempty group once, by prefix-preserving closure extension
+        stack = [(every, top_of(every), 0)]
+        while stack:
+            mask, top, start = stack.pop()
+            groups[mask] = [top]  # the one member minimal mode reads
+            for k in range(start, len(entries)):
+                bit, col = entries[k]
+                sub = mask & col
+                if sub and not top & bit:
+                    grown = top_of(sub)
+                    if grown & ~top & (bit - 1) == 0:  # gained no lower entry
+                        stack.append((sub, grown, k + 1))
+    else:
+        for flat in enumerate_category(table).flats:
+            groups.setdefault(mask_of(flat), []).append(flat)
 
     total = len(seqs)
     cov_cache: dict[int, int] = {}
@@ -267,7 +313,7 @@ def hasse_cluster(
     def covered_count(mask: int) -> int:
         got = cov_cache.get(mask)
         if got is None:
-            got = sum(c for jbit, c in enumerate(mult) if mask >> jbit & 1)
+            got = sum(mult[jbit] for jbit in _bit_indices(mask))
             cov_cache[mask] = got
         return got
 
@@ -310,13 +356,14 @@ def hasse_cluster(
     candidates = [candidates[i] for i in order]
     cand_masks = [cand_masks[i] for i in order]
 
-    # Every catalog graph sits in exactly one group, so two candidates from
+    # Every graph sits in exactly one group, so two candidates from
     # different group combinations, or different picks within one, differ
     # in some member: the candidates are pairwise distinct sets, as
-    # _undominated requires.
-    kept = _undominated(candidates, flats)
+    # _undominated requires. Flats ascend with the catalog's order, so the
+    # sort above is the canonical order.
+    kept = _undominated(candidates)
     clusters = tuple(
-        tuple(BoolMatrix(table, _unpack_rows(flats[h], m)) for h in candidates[i])
+        tuple(BoolMatrix(table, _unpack_rows(h, m)) for h in candidates[i])
         for i in kept
     )
     covered = tuple(covered_count(cand_masks[i]) for i in kept)

@@ -9,7 +9,9 @@ average linkage and the all-points DBSCAN that the baselines ran before
 they worked on the distinct points; the pairwise dominance filter that
 hasse_cluster used before its bitset test; the minimal-mode candidate
 search that took every member of each group of a minimal combination and
-tested all of its sub-combinations; the subset-filtering strict
+tested all of its sub-combinations; the minimal-mode grouping that
+scanned the whole catalog against every distinct sequence matrix and
+took each group's last member as its top; the subset-filtering strict
 order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; and a harness
@@ -312,20 +314,19 @@ def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):
     return sources
 
 
-def dominance_filter_pairwise(candidates, flats):
+def dominance_filter_pairwise(candidates):
     """Indices of the undominated candidates, by comparing every pair.
 
-    candidates are tuples of indices into flats (packed path matrices); a
-    dominates b iff every member of a has a generalization in b, i.e. some
-    hb in b with flats[hb] & ~flats[ha] == 0. O(C^2) candidate pairs.
+    candidates are tuples of flats (packed path matrices); a dominates b
+    iff every member of a has a generalization in b, i.e. some fb in b
+    with fb & ~fa == 0. O(C^2) candidate pairs.
     """
 
     def has_incoming(b):
-        b_flats = [flats[h] for h in b]
         for a in candidates:
             if a == b:
                 continue
-            if all(any(fb & ~flats[ha] == 0 for fb in b_flats) for ha in a):
+            if all(any(fb & ~fa == 0 for fb in b) for fa in a):
                 return True
         return False
 
@@ -346,9 +347,9 @@ def hasse_cluster_every_pick(seqs, j_labels, t, r):
     counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
     distinct = list(counts)
     groups = {}
-    for h, fh in enumerate(flats):
+    for fh in flats:
         mask = sum(1 << k for k, d in enumerate(distinct) if fh & ~d == 0)
-        groups.setdefault(mask, []).append(h)
+        groups.setdefault(mask, []).append(fh)
     threshold = Fraction(str(t)) * len(seqs)
 
     def covered(masks):
@@ -370,8 +371,51 @@ def hasse_cluster_every_pick(seqs, j_labels, t, r):
             for pick in product(*(groups[msk] for msk in combo)):
                 cands.append((tuple(sorted(pick)), covered(combo)))
     cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
-    kept = _undominated([members for members, _ in cands], flats)
-    return [(tuple(flats[h] for h in cands[i][0]), cands[i][1]) for i in kept]
+    kept = _undominated([members for members, _ in cands])
+    return [cands[i] for i in kept]
+
+
+def hasse_cluster_catalog_tops(seqs, j_labels, t, r):
+    """Minimal-mode hasse_cluster as it ran before it built its groups from
+    the intersections of the distinct sequence matrices: every catalog
+    graph is grouped by the mask of distinct matrices it lies under, and
+    each group's top is its last member (flats ascend, and the top holds
+    every other member). A combination of group masks is minimal iff it
+    meets the threshold and each one-smaller sub-combination fails; it
+    yields one candidate, its groups' tops; the candidates pass the
+    dominance filter. Returns the output sets as (flats of the members,
+    covered) pairs."""
+    table = LabelTable(tuple(j_labels))
+    m = len(table)
+    flats = enumerate_category(table).flats
+    counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
+    distinct = list(counts)
+    groups = {}
+    for fh in flats:
+        mask = sum(1 << k for k, d in enumerate(distinct) if fh & ~d == 0)
+        groups.setdefault(mask, []).append(fh)
+    threshold = Fraction(str(t)) * len(seqs)
+
+    def covered(masks):
+        union = 0
+        for msk in masks:
+            union |= msk
+        return sum(counts[d] for k, d in enumerate(distinct) if union >> k & 1)
+
+    def meets(masks):
+        return covered(masks) * 100 >= threshold
+
+    cands = []
+    for size in range(1, r + 1):
+        for combo in combinations(sorted(groups), size):
+            if meets(combo) and not any(
+                meets(sub) for sub in combinations(combo, size - 1)
+            ):
+                tops = tuple(sorted(groups[msk][-1] for msk in combo))
+                cands.append((tops, covered(combo)))
+    cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
+    kept = _undominated([members for members, _ in cands])
+    return [cands[i] for i in kept]
 
 
 def order_rows_oracle(s, j_labels):

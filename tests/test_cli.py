@@ -13,14 +13,14 @@ Claims covered:
   unknown ops exit 2;
 - mine emits a JSON payload whose matrices reproduce the published
   winning set, exits 3 when no covering set exists, honors --only-label,
-  and writes reduction DOT files;
+  writes reduction DOT files, and builds no catalog;
 - relevance emits a W/L/R table with infinite pairs first and requires a
   label on every record;
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
-  do malformed sequence files, with the file name and the offending line
-  in the message.
+  do malformed sequence files, bytes that are not UTF-8 included, with
+  the file name and the offending line in the message.
 """
 
 from __future__ import annotations
@@ -264,6 +264,18 @@ def test_mine_empty_result_exit_code(tmp_path, capsys):
     assert json.loads(out)["clusters"] == []
 
 
+def test_mine_builds_no_catalog(tmp_path, capsys):
+    src = simulate_file(tmp_path, "wins.jsonl", 2, 14)
+    enumerate_category.cache_clear()
+    code, out, _ = run_cli(
+        capsys,
+        "mine", "--in", str(src), "--labels", "e1,e2,e5,e6,e11", "--t", "90", "--r", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["clusters"]
+    assert enumerate_category.cache_info().currsize == 0
+
+
 def test_mine_only_label(tmp_path, capsys):
     path = tmp_path / "mixed.jsonl"
     episodes = simulate(v1_config(seed=0), 6, "scripted-mixed") + simulate(
@@ -395,3 +407,21 @@ def test_malformed_input_exits_2_with_line(tmp_path, capsys, record):
     code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: line 2: ")
+
+
+@pytest.mark.parametrize(
+    "data, number",
+    [
+        (b"\xff\xfe{}\n", 1),
+        (b'{"universe": ["a", "b"]}\n{"events": ["a"]}\n{"events": ["b\xc3"]}\n', 3),
+    ],
+)
+def test_non_utf8_input_exits_2_with_line(tmp_path, capsys, data, number):
+    path = tmp_path / "bin.jsonl"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "mine", "--in", str(path), "--labels", "a,b", "--t", "90", "--r", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: line {number}: invalid UTF-8 at byte ")
+    assert "Traceback" not in err

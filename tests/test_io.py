@@ -5,6 +5,8 @@ Claims covered:
   honors the universe header, and accepts an explicit universe override;
 - malformed files fail loudly: missing universe, duplicate header,
   recordless events, non-0/1 labels, unknown event tokens;
+- files with \n, \r\n or \r line ends load alike, with the same line
+  numbers;
 - each malformed record fails with a ValueError naming its file line:
   invalid JSON, events that are a string or hold a non-string, labels
   given as true or 1.0, a header universe that is not a list of strings;
@@ -57,6 +59,23 @@ def test_sequence_round_trip(tmp_path):
     assert list(records.rows) == rows
     assert [s.events for s in records.sequences] == [("e2", "e5"), (), ("e1",)]
     assert records.labels == (1, 0, None)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_sequences_line_endings(tmp_path, newline):
+    lines = [
+        '{"universe": ["e1", "e2", "e5"]}',
+        '{"events": ["e2", "e5"], "label": 1}',
+        "",
+        '{"events": ["e1"]}',
+    ]
+    path = tmp_path / "seqs.jsonl"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    records = load_sequences(path)
+    assert [s.events for s in records.sequences] == [("e2", "e5"), ("e1",)]
+    path.write_bytes(newline.join(lines + ['{"events": ["zz"]}']).encode())
+    with pytest.raises(ValueError, match=r"^line 5: "):
+        load_sequences(path)
 
 
 def test_universe_override_and_headerless():

@@ -13,6 +13,8 @@ Claims covered:
   filter keeps exactly what the pairwise filter it replaced keeps;
 - minimal mode, with one candidate (the group tops) per minimal group
   combination, outputs what taking every member of each group did;
+- minimal mode finds its groups as intersections of the distinct sequence
+  matrices, builds no catalog, and outputs what the catalog scan did;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -55,6 +58,7 @@ from hassemine.sequences import EventSequence, SubsetSequence, is_consistent
 from oracles import (
     dominance_filter_pairwise,
     hasse_cluster_bruteforce,
+    hasse_cluster_catalog_tops,
     hasse_cluster_every_pick,
     strict_orders_bruteforce,
     strict_orders_filtering,
@@ -284,13 +288,25 @@ def test_hasse_cluster_mode_divergence():
 
 
 def test_hasse_cluster_builds_no_catalog_objects():
-    # mining reads the catalog's flats only; the rows, graphs and path
-    # matrices of a cold m = 6 catalog would add to the first call
+    # minimal mode builds no catalog; literal mode builds one and reads
+    # its flats only, as the rows, graphs and path matrices of a cold
+    # m = 6 catalog would add to the first call
     universe = LabelTable(("a", "b", "c", "d", "e"))
     forward = EventSequence(universe, universe.labels)
     backward = EventSequence(universe, universe.labels[::-1])
+    six = LabelTable(universe.labels + ("f",))
     enumerate_category.cache_clear()
     out = hasse_cluster([forward, backward], universe.labels, t=50, r=1)
+    for r in (1, 2):
+        hasse_cluster(
+            [EventSequence(six, six.labels), EventSequence(six, ("b", "a", "f"))],
+            six.labels,
+            t=90,
+            r=r,
+        )
+    assert enumerate_category.cache_info().currsize == 0
+    literal = hasse_cluster([forward, backward], universe.labels, t=50, r=1, mode="literal")
+    assert enumerate_category.cache_info().currsize == 1
     cat = enumerate_category(universe)
     assert "rows" not in vars(cat)
     assert "graphs" not in vars(cat)
@@ -302,6 +318,7 @@ def test_hasse_cluster_builds_no_catalog_objects():
     )
     assert out.clusters == tuple((cat.path_matrices[i],) for i in chains)
     assert out.covered == (1, 1)
+    assert literal.clusters == out.clusters
 
 
 def test_hasse_cluster_zero_threshold_minimal_is_empty():
@@ -361,7 +378,19 @@ def _random_workloads(seed, trials):
 
 
 def test_hasse_cluster_matches_bruteforce():
-    for raw, seqs, j, t, r, mode in _random_workloads(3, 40):
+    workloads = list(_random_workloads(3, 40))
+    # literal mode scans the whole catalog: a few m = 4 cases at r = 1
+    rng = random.Random(4)
+    j = ("a", "b", "c", "d")
+    universe = LabelTable(j + ("x",))
+    for t in (0, 50, 90, 100):
+        raw = [
+            tuple(rng.choice(universe.labels) for _ in range(rng.randint(0, 5)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        seqs = [EventSequence(universe, events) for events in raw]
+        workloads.append((raw, seqs, j, t, 1, "literal"))
+    for raw, seqs, j, t, r, mode in workloads:
         out = hasse_cluster(seqs, j, t, r, mode)
         got = {frozenset(mx.pairs() for mx in cluster) for cluster in out.clusters}
         want = hasse_cluster_bruteforce(raw, j, t, r, mode)
@@ -400,11 +429,11 @@ def _oracle_checked_filter(monkeypatch) -> list[int]:
     fast = mining._undominated
     seen = []
 
-    def checked(candidates, flats):
+    def checked(candidates):
         assert all(len(set(cand)) == len(cand) for cand in candidates)
         assert len(set(map(frozenset, candidates))) == len(candidates)
-        kept = fast(candidates, flats)
-        assert kept == dominance_filter_pairwise(candidates, flats)
+        kept = fast(candidates)
+        assert kept == dominance_filter_pairwise(candidates)
         seen.append(len(candidates))
         return kept
 
@@ -488,6 +517,35 @@ def test_minimal_tops_match_every_pick_oracle():
         t, r = rng.randrange(0, 101, 5), rng.randint(1, 4)
         out = hasse_cluster(seqs, j, t, r)
         assert _as_flats(out, 5) == hasse_cluster_every_pick(seqs, j, t, r)
+
+
+def test_minimal_closure_matches_catalog_tops_oracle():
+    rng = random.Random(12)
+    for m in (2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        for r in (1, 2, 3):
+            for _ in range(3):
+                seqs = _small_corpus(rng, j, m + 1)
+                for t in range(0, 101, 10):
+                    out = hasse_cluster(seqs, j, t, r)
+                    assert _as_flats(out, m) == hasse_cluster_catalog_tops(seqs, j, t, r)
+    for m, trials in ((5, 12), (6, 3)):
+        j = ("a", "b", "c", "d", "e", "f")[:m]
+        for _ in range(trials):
+            seqs = _small_corpus(rng, j, m + 1)
+            t, r = rng.randrange(0, 101, 5), rng.randint(1, 3)
+            out = hasse_cluster(seqs, j, t, r)
+            assert _as_flats(out, m) == hasse_cluster_catalog_tops(seqs, j, t, r)
+    # Every linear order once: then every strict order is a group top. At
+    # m = 5 and low t, thousands of tops meet the threshold and the
+    # dominance filter alone takes seconds on either side.
+    for m, thresholds in ((4, (1, 25, 50)), (5, (25, 50))):
+        j = ("a", "b", "c", "d", "e")[:m]
+        universe = LabelTable(j)
+        seqs = [EventSequence(universe, p) for p in permutations(j)]
+        for t in thresholds:
+            out = hasse_cluster(seqs, j, t, 1)
+            assert _as_flats(out, m) == hasse_cluster_catalog_tops(seqs, j, t, 1)
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():
