@@ -3,9 +3,10 @@
 The quasi-skeleton graphs on m labels correspond one-to-one with the strict
 partial orders on those labels (take the path matrix one way, the transitive
 reduction the other), so the category is built by enumerating strict orders
-and reducing each one. Counts follow OEIS A001035. Of mining, only
-literal mode reads the catalog; minimal mode finds its diagrams as
-intersections of the sequences' order matrices.
+and reducing each one. Counts follow OEIS A001035. Mining reads no
+catalog: both of its modes find their diagrams as intersections of the
+sequences' order matrices. The catalog serves `enumerate` and the
+morphism API (`CategoryRJ`, `generalizations`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graphs import (
     LabelTable,
     _bit_indices,
     _pack_rows,
+    _predecessor_rows,
     _reduction_rows,
     _unpack_rows,
     path_matrix,
@@ -87,13 +89,9 @@ def _strict_orders(m: int) -> tuple[int, ...]:
     out = []
     for flat in _strict_orders(q):
         rows = _unpack_rows(flat, q)
-        preds = [0] * q
-        for i, row in enumerate(rows):
-            for j in _bit_indices(row):
-                preds[j] |= 1 << i
         up_sets = _closed_sets(rows)
         base = _pack_rows(rows, m)
-        for down in _closed_sets(preds):
+        for down in _closed_sets(_predecessor_rows(rows)):
             cap = full
             for x in _bit_indices(down):
                 cap &= rows[x]
@@ -110,10 +108,10 @@ class CategoryRJ:
     by `_pack_rows` (entry (i, j) at bit m*m - 1 - (m*i + j)), so the
     canonical order, ascending lexicographic on the row-major flattened
     path matrix, is ascending int order, and H generalizes G iff
-    flats[H] & ~flats[G] == 0. Only literal mining reads the catalog, and
-    it reads flats only. Built on first access and then kept: rows[i]
-    (the bit rows of flats[i]), path_matrices[i] (a BoolMatrix of
-    rows[i]) and graphs[i] (its transitive reduction as a Digraph).
+    flats[H] & ~flats[G] == 0. Mining reads no catalog. Built on first
+    access and then kept: rows[i] (the bit rows of flats[i]),
+    path_matrices[i] (a BoolMatrix of rows[i]) and graphs[i] (its
+    transitive reduction as a Digraph).
     index_of packs its matrix and bisects flats. Generalization up-sets
     (the morphism relation) are materialized lazily per graph. Instances
     are immutable and safe to share.

@@ -192,6 +192,15 @@ def _unpack_rows(packed: int, m: int) -> tuple[int, ...]:
     return tuple(low_first >> (m * i) & mask for i in range(m))
 
 
+def _predecessor_rows(rows: tuple[int, ...]) -> list[int]:
+    """The transpose: bit i of the result's row j is set iff rows[i] has bit j."""
+    preds = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bit_indices(row):
+            preds[j] |= 1 << i
+    return preds
+
+
 def _closure_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Reachability by paths of length >= 1 (bitset Warshall)."""
     rs = list(rows)

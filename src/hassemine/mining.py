@@ -19,10 +19,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations
 from typing import Iterable
 
-from .enumeration import _check_label_count, enumerate_category
+from .enumeration import _check_label_count
 from .errors import (
     EmptyInput,
     EmptyJ,
@@ -33,8 +33,16 @@ from .errors import (
     MissingClass,
 )
 from .exact import exact_fraction
-from .graphs import BoolMatrix, LabelTable, _bit_indices, _pack_rows, _unpack_rows
-from .sequences import AnySequence
+from .graphs import (
+    BoolMatrix,
+    Digraph,
+    LabelTable,
+    _bit_indices,
+    _closure_rows,
+    _pack_rows,
+    _unpack_rows,
+)
+from .sequences import AnySequence, flattenings
 
 
 def _analysis_table(j_labels: Iterable[str]) -> LabelTable:
@@ -210,25 +218,14 @@ def hasse_cluster(
     under, and candidates come from combinations of group masks. The mask
     of a graph h is the AND of column[e] over the entry bits e of h, where
     column[e] is the mask of the matrices holding e (every matrix when h
-    is arrowless): at most m(m-1) big-int ANDs per graph, not one subset
-    test per distinct matrix. A combination that meets the threshold is
-    minimal iff each of its sub-combinations one smaller fails: coverage
-    only grows with the union of masks, so no smaller one can then meet
-    it. At size 1 that checks the empty union, which is how t = 0 yields
-    no sets.
+    is arrowless). A combination that meets the threshold is minimal iff
+    each of its sub-combinations one smaller fails: coverage only grows
+    with the union of masks, so no smaller one can then meet it. At size 1
+    that checks the empty union, which is how t = 0 yields no sets. No
+    combination holds more masks than there are groups, so the search
+    stops there, whatever r is.
 
-    Minimal mode emits one candidate per minimal combination: its groups'
-    tops. The top of a nonempty group M is the AND of M's matrices, a
-    strict order that lies in M, and every other member of M is a proper
-    subset of it. The mask-0 group never enters a minimal combination, as
-    dropping it leaves the union unchanged. So the tops dominate every
-    other pick of one member per group, and every candidate that such a
-    pick dominates. No other pick dominates its tops: a generalization of a
-    member of group M lies in a group whose mask holds M, and a minimal
-    combination holds no mask inside another. The output is thus the one
-    that taking every pick would give.
-
-    Minimal mode needs no catalog to find the groups. If h has mask M != 0,
+    Both modes find the groups without a catalog. If h has mask M != 0,
     then h lies inside the AND of M, and every matrix holding that AND
     holds h, so the AND has mask M too: a nonempty group is closed, and
     its top is the AND of its mask. Conversely the AND of any nonempty set
@@ -244,15 +241,56 @@ def hasse_cluster(
     lower bit. Every nonempty group is reached exactly once, and each
     costs at most m(m-1) extensions of at most m(m-1) column tests each,
     however many matrices there are. At m <= 6 there are at most 130023
-    groups. Literal mode still scans the catalog, as its answers depend on
-    graphs that lie under no sequence, and takes every pick.
+    groups.
 
-    The dominance test works on U, the distinct graphs in any candidate:
-    for each candidate C'' it ORs the up-sets (within U) of its members,
-    then ORs the candidate masks of the graphs of U outside that union;
-    C'' is kept iff the result, with C'' itself, covers every candidate.
-    That is O(C * |U|) big-int ORs for C candidates, instead of O(C^2)
-    pairwise comparisons.
+    Minimal mode emits one candidate per minimal combination: its groups'
+    tops. Every other member of a group M is a proper subset of its top.
+    The mask-0 group never enters a minimal combination, as dropping it
+    leaves the union unchanged. So the tops dominate every other pick of
+    one member per group, and every candidate that such a pick dominates.
+    No other pick dominates its tops: a generalization of a member of
+    group M lies in a group whose mask holds M, and a minimal combination
+    holds no mask inside another. The output is thus the one that taking
+    every pick would give.
+
+    Literal mode keeps some minimal combinations' tops, with no dominance
+    filter. Its candidates are the sets C of 1..r strict orders whose
+    coverage meets t, and C is output iff no other candidate C' lies in
+    the up-set of C, each member of C' specializing some member of C.
+    Write M_i for the mask of member b_i of C.
+    (a) Every member is a group top. A member that is not its group's top
+        is dominated: swap in the top, or drop the member if the top is
+        already in C; coverage does not change. At t > 0 a member under
+        no sequence (mask 0) drops the same way, as C then has another.
+    (b) C is a minimal combination: a proper subset of C that meets
+        dominates C. So no member of C specializes another, either.
+    (c) If |C| < r, adding a proper specialization of a member keeps the
+        threshold, so C survives iff every top is a linear order (it has
+        m(m-1)/2 entries). Then a dominating C' is a subset of C, which
+        fails by (b).
+    (d) If |C| = r, a dominating C' fails unless each b_i has a
+        specialization in C' (by (b) and monotonicity), so with at most
+        r members C' is {a_i}, a_i containing b_i. Putting b_j back for
+        every j != i keeps the threshold, so C is dominated iff one
+        swap is: b_i out, a proper specialization a of b_i in. Then a
+        may shrink to the closure of b_i plus one incomparable pair
+        (x, y), and as the matrices are transitive the mask of that
+        closure is M_i & column[(x, y)]. So C survives iff for each i
+        and each entry e outside top_i, meets(the union of the other
+        masks | M_i & column[e]) is false. An entry that would close a
+        cycle, or lies on the diagonal, gives 0, and the other masks
+        alone fail by (b), so those entries need no filter.
+    (e) At t = 0 every set meets. A set of two or more is dominated by
+        any one of its members, and a single non-linear order by a proper
+        specialization, so the output is every linear order, each as its
+        own set with its own coverage, for any r.
+
+    Minimal mode's dominance test works on U, the distinct graphs in any
+    candidate: for each candidate C'' it ORs the up-sets (within U) of its
+    members, then ORs the candidate masks of the graphs of U outside that
+    union; C'' is kept iff the result, with C'' itself, covers every
+    candidate. That is O(C * |U|) big-int ORs for C candidates, instead of
+    O(C^2) pairwise comparisons.
     """
     seqs = list(seqs)
     if not seqs:
@@ -280,32 +318,22 @@ def hasse_cluster(
             column[e] |= 1 << jbit
     entries = [(1 << e, col) for e, col in enumerate(column) if col]
 
-    def mask_of(flat: int) -> int:
-        mask = every
-        for e in _bit_indices(flat):
-            mask &= column[e]
-        return mask
-
     def top_of(mask: int) -> int:
         return sum(bit for bit, col in entries if mask & ~col == 0)
 
-    groups: dict[int, list[int]] = {}
-    if mode == "minimal":
-        # every nonempty group once, by prefix-preserving closure extension
-        stack = [(every, top_of(every), 0)]
-        while stack:
-            mask, top, start = stack.pop()
-            groups[mask] = [top]  # the one member minimal mode reads
-            for k in range(start, len(entries)):
-                bit, col = entries[k]
-                sub = mask & col
-                if sub and not top & bit:
-                    grown = top_of(sub)
-                    if grown & ~top & (bit - 1) == 0:  # gained no lower entry
-                        stack.append((sub, grown, k + 1))
-    else:
-        for flat in enumerate_category(table).flats:
-            groups.setdefault(mask_of(flat), []).append(flat)
+    # every nonempty group once, by prefix-preserving closure extension
+    groups: dict[int, int] = {}  # closed mask -> its top
+    stack = [(every, top_of(every), 0)]
+    while stack:
+        mask, top, start = stack.pop()
+        groups[mask] = top
+        for k in range(start, len(entries)):
+            bit, col = entries[k]
+            sub = mask & col
+            if sub and not top & bit:
+                grown = top_of(sub)
+                if grown & ~top & (bit - 1) == 0:  # gained no lower entry
+                    stack.append((sub, grown, k + 1))
 
     total = len(seqs)
     cov_cache: dict[int, int] = {}
@@ -326,47 +354,50 @@ def hasse_cluster(
             union |= msk
         return union
 
-    group_masks = sorted(groups)
-    candidates: list[tuple[int, ...]] = []
-    cand_masks: list[int] = []
-    for size in range(1, r + 1):
-        if mode == "minimal":
-            combos = combinations(group_masks, size)
-        else:
-            combos = combinations_with_replacement(group_masks, size)
-        for combo in combos:
-            union = union_of(combo)
-            if not meets(union):
-                continue
-            if mode == "minimal":
+    def literal_keeps(combo: tuple[int, ...]) -> bool:
+        """(c) and (d) above, for a minimal combination."""
+        if len(combo) < r:
+            return all(groups[msk].bit_count() == m * (m - 1) // 2 for msk in combo)
+        for i, msk in enumerate(combo):
+            rest = union_of(combo[:i] + combo[i + 1 :])
+            top = groups[msk]
+            if any(not top & bit and meets(rest | msk & col) for bit, col in entries):
+                return False
+        return True
+
+    candidates: list[tuple[tuple[int, ...], int]] = []  # (member flats, covered)
+    if mode == "literal" and frac == 0:  # (e) above
+        for path in flattenings(Digraph.arrowless(table)):
+            rows = _closure_rows(path.rows)
+            # only a sequence with this very matrix lies over a linear order
+            candidates.append(((_pack_rows(rows, m),), counts[rows]))
+    else:
+        group_masks = sorted(groups)
+        for size in range(1, min(r, len(group_masks)) + 1):
+            for combo in combinations(group_masks, size):
+                union = union_of(combo)
+                if not meets(union):
+                    continue
                 if any(meets(union_of(sub)) for sub in combinations(combo, size - 1)):
                     continue
-                candidates.append(tuple(sorted(groups[msk][-1] for msk in combo)))
-                cand_masks.append(union)
-            else:
-                tally = Counter(combo)
-                picks = product(
-                    *(combinations(groups[msk], c) for msk, c in tally.items())
-                )
-                for pick in picks:
-                    candidates.append(tuple(sorted(chain.from_iterable(pick))))
-                    cand_masks.append(union)
-
-    order = sorted(range(len(candidates)), key=lambda i: (len(candidates[i]), candidates[i]))
-    candidates = [candidates[i] for i in order]
-    cand_masks = [cand_masks[i] for i in order]
+                if mode == "literal" and not literal_keeps(combo):
+                    continue
+                tops = tuple(sorted(groups[msk] for msk in combo))
+                candidates.append((tops, covered_count(union)))
+    # Flats ascend with the canonical order, so this is the canonical order.
+    candidates.sort(key=lambda cand: (len(cand[0]), cand[0]))
 
     # Every graph sits in exactly one group, so two candidates from
-    # different group combinations, or different picks within one, differ
-    # in some member: the candidates are pairwise distinct sets, as
-    # _undominated requires. Flats ascend with the catalog's order, so the
-    # sort above is the canonical order.
-    kept = _undominated(candidates)
+    # different group combinations differ in some member: the candidates
+    # are pairwise distinct sets, as _undominated requires. Literal mode's
+    # candidates are its output already.
+    if mode == "minimal":
+        candidates = [candidates[i] for i in _undominated([c for c, _ in candidates])]
     clusters = tuple(
-        tuple(BoolMatrix(table, _unpack_rows(h, m)) for h in candidates[i])
-        for i in kept
+        tuple(BoolMatrix(table, _unpack_rows(h, m)) for h in members)
+        for members, _ in candidates
     )
-    covered = tuple(covered_count(cand_masks[i]) for i in kept)
+    covered = tuple(cov for _, cov in candidates)
     return ClusterOutput(clusters, covered, total, frac, r, mode)
 
 

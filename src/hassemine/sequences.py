@@ -22,6 +22,7 @@ from .graphs import (
     LabelTable,
     _bit_indices,
     _closure_rows,
+    _predecessor_rows,
 )
 
 
@@ -151,10 +152,7 @@ def gts(g: Digraph) -> SubsetSequence:
     raising NotLayered otherwise.
     """
     m = g.m
-    preds = [0] * m
-    for i, row in enumerate(g.rows):
-        for j in _bit_indices(row):
-            preds[j] |= 1 << i
+    preds = _predecessor_rows(g.rows)
     remaining = (1 << m) - 1
     layers: list[int] = []
     while remaining:
@@ -211,10 +209,7 @@ def flattenings(g: Digraph) -> list[Digraph]:
     order of the vertex-index sequence.
     """
     m = g.m
-    preds = [0] * m
-    for i, row in enumerate(g.rows):
-        for j in _bit_indices(row):
-            preds[j] |= 1 << i
+    preds = _predecessor_rows(g.rows)
     orders: list[tuple[int, ...]] = []
     prefix: list[int] = []
 

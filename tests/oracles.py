@@ -11,7 +11,9 @@ hasse_cluster used before its bitset test; the minimal-mode candidate
 search that took every member of each group of a minimal combination and
 tested all of its sub-combinations; the minimal-mode grouping that
 scanned the whole catalog against every distinct sequence matrix and
-took each group's last member as its top; the subset-filtering strict
+took each group's last member as its top; the literal-mode search that
+scanned the catalog, took every pick of every group combination and ran
+the dominance filter; the subset-filtering strict
 order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; and a harness
@@ -23,9 +25,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
-from hassemine import Digraph, LabelTable, NotSimple, r_set, restrict, seq_to_matrix
+from hassemine import Digraph, LabelTable, NotSimple, mining, r_set, restrict, seq_to_matrix
 from hassemine.enumeration import enumerate_category
 from hassemine.graphs import _bit_indices, _pack_rows
 from hassemine.mining import _undominated
@@ -415,6 +417,52 @@ def hasse_cluster_catalog_tops(seqs, j_labels, t, r):
                 cands.append((tops, covered(combo)))
     cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
     kept = _undominated([members for members, _ in cands])
+    return [cands[i] for i in kept]
+
+
+def hasse_cluster_literal_catalog(seqs, j_labels, t, r):
+    """Literal-mode hasse_cluster as it ran before it read the closure
+    groups: every catalog graph is grouped by its mask of distinct sequence
+    matrices, read from per-entry column masks; every multiset of 1..r
+    group masks whose union meets the threshold yields every pick of that
+    many distinct members from each of its groups; the candidates pass
+    mining._undominated, looked up at call time. Returns the output sets
+    as (flats of the members, covered) pairs."""
+    table = LabelTable(tuple(j_labels))
+    m = len(table)
+    counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
+    distinct = list(counts)
+    column = [0] * (m * m)
+    for k, d in enumerate(distinct):
+        for e in _bit_indices(d):
+            column[e] |= 1 << k
+    groups = {}
+    for fh in enumerate_category(table).flats:
+        mask = (1 << len(distinct)) - 1
+        for e in _bit_indices(fh):
+            mask &= column[e]
+        groups.setdefault(mask, []).append(fh)
+    threshold = Fraction(str(t)) * len(seqs)
+
+    def covered(masks):
+        union = 0
+        for msk in masks:
+            union |= msk
+        return sum(counts[d] for k, d in enumerate(distinct) if union >> k & 1)
+
+    cands = []
+    for size in range(1, r + 1):
+        for combo in combinations_with_replacement(sorted(groups), size):
+            cov = covered(combo)
+            if cov * 100 < threshold:
+                continue
+            picks = product(
+                *(combinations(groups[msk], c) for msk, c in Counter(combo).items())
+            )
+            for pick in picks:
+                cands.append((tuple(sorted(chain.from_iterable(pick))), cov))
+    cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
+    kept = mining._undominated([members for members, _ in cands])
     return [cands[i] for i in kept]
 
 

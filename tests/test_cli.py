@@ -41,6 +41,7 @@ from hassemine import (
     load_sequences,
     parse_sequences,
     save_episodes,
+    save_sequences,
     simulate,
     v1_config,
     v2_config,
@@ -273,7 +274,52 @@ def test_mine_builds_no_catalog(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["clusters"]
+    code, out, _ = run_cli(
+        capsys,
+        "mine", "--in", str(src), "--labels", "e1,e2,e5,e6,e11", "--t", "90", "--r", "2",
+        "--mode", "literal",
+    )
+    assert code == 0
+    assert json.loads(out)["clusters"]
     assert enumerate_category.cache_info().currsize == 0
+
+
+def test_mine_literal_stdout(tmp_path, capsys):
+    # pinned to the bytes of the catalog search that literal mode ran
+    # before it read the closure groups: seven pairs at t = 50, r = 2
+    src = simulate_file(tmp_path, "wins.jsonl", 2, 14)
+    noisy = tmp_path / "noisy.jsonl"
+    code, _, _ = run_cli(
+        capsys, "corrupt", "--in", str(src), "--fraction", "0.3", "--seed", "1",
+        "--out", str(noisy),
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys,
+        "mine", "--in", str(noisy), "--labels", "e1,e2,e5,e6", "--t", "50", "--r", "2",
+        "--mode", "literal",
+    )
+    assert code == 0
+    assert len(json.loads(out)["clusters"]) == 7
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "99cbf56705d878d9cfbbbf8ffa21ac4c163ed697b89f411d8f53f18294429dc3"
+
+
+def test_mine_size_cap_beyond_the_groups(tmp_path, capsys):
+    # three groups: the arrowless graph under both sequences, and each
+    # chain under its own; the search stops at three members
+    path = tmp_path / "two.jsonl"
+    rows = [{"events": ["A", "B"]}, {"events": ["B", "A"]}]
+    save_sequences(path, LabelTable(("A", "B")), rows)
+    payloads = []
+    for r in ("4", "1000000000"):
+        code, out, _ = run_cli(
+            capsys, "mine", "--in", str(path), "--labels", "A,B", "--t", "100", "--r", r
+        )
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[1]["r"] == 10**9
+    assert payloads[1]["clusters"] == payloads[0]["clusters"]
 
 
 def test_mine_only_label(tmp_path, capsys):

@@ -211,3 +211,6 @@ def test_matrix_errors(tmp_path):
     path.write_text("a,b\n0,1\n0,2\n")
     with pytest.raises(ValueError):
         load_matrix_csv(path)
+    path.write_text("a,b\n0,x\n0,0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: matrix entries must be 0 or 1$"):
+        load_matrix_csv(path)

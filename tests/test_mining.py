@@ -15,6 +15,10 @@ Claims covered:
   combination, outputs what taking every member of each group did;
 - minimal mode finds its groups as intersections of the distinct sequence
   matrices, builds no catalog, and outputs what the catalog scan did;
+- literal mode reads the same groups, builds no catalog and runs no
+  dominance filter, and outputs what the catalog scan with every pick and
+  the filter did; at t = 0 it outputs every linear order on its own;
+- the combination search stops at the number of groups, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
 """
@@ -60,6 +64,7 @@ from oracles import (
     hasse_cluster_bruteforce,
     hasse_cluster_catalog_tops,
     hasse_cluster_every_pick,
+    hasse_cluster_literal_catalog,
     strict_orders_bruteforce,
     strict_orders_filtering,
 )
@@ -288,35 +293,30 @@ def test_hasse_cluster_mode_divergence():
 
 
 def test_hasse_cluster_builds_no_catalog_objects():
-    # minimal mode builds no catalog; literal mode builds one and reads
-    # its flats only, as the rows, graphs and path matrices of a cold
-    # m = 6 catalog would add to the first call
+    # neither mode builds a catalog, at m = 5 or at m = 6
     universe = LabelTable(("a", "b", "c", "d", "e"))
     forward = EventSequence(universe, universe.labels)
     backward = EventSequence(universe, universe.labels[::-1])
     six = LabelTable(universe.labels + ("f",))
     enumerate_category.cache_clear()
     out = hasse_cluster([forward, backward], universe.labels, t=50, r=1)
-    for r in (1, 2):
-        hasse_cluster(
-            [EventSequence(six, six.labels), EventSequence(six, ("b", "a", "f"))],
-            six.labels,
-            t=90,
-            r=r,
-        )
-    assert enumerate_category.cache_info().currsize == 0
     literal = hasse_cluster([forward, backward], universe.labels, t=50, r=1, mode="literal")
-    assert enumerate_category.cache_info().currsize == 1
-    cat = enumerate_category(universe)
-    assert "rows" not in vars(cat)
-    assert "graphs" not in vars(cat)
-    assert "path_matrices" not in vars(cat)
+    for mode in ("minimal", "literal"):
+        for r in (1, 2):
+            hasse_cluster(
+                [EventSequence(six, six.labels), EventSequence(six, ("b", "a", "f"))],
+                six.labels,
+                t=90,
+                r=r,
+                mode=mode,
+            )
+    assert enumerate_category.cache_info().currsize == 0
     # each chain covers half, and every other graph under one generalizes it
     orders = strict_orders_filtering(5)
     chains = sorted(
         orders.index(seq_to_matrix(s, universe.labels).rows) for s in (forward, backward)
     )
-    assert out.clusters == tuple((cat.path_matrices[i],) for i in chains)
+    assert out.clusters == tuple((BoolMatrix(universe, orders[i]),) for i in chains)
     assert out.covered == (1, 1)
     assert literal.clusters == out.clusters
 
@@ -442,9 +442,11 @@ def _oracle_checked_filter(monkeypatch) -> list[int]:
 
 
 def test_dominance_filter_matches_pairwise_oracle(monkeypatch):
-    # Literal mode at t=0 takes every pair of the 219 orders on 4 labels as
-    # a candidate (24090), too many for the O(C^2) oracle here; that one
-    # cell runs at r=1.
+    # Literal mode runs no dominance filter, so its cells run through the
+    # catalog oracle, which does, and hasse_cluster must agree with it. At
+    # t=0 that oracle takes every pair of the 219 orders on 4 labels as a
+    # candidate (24090), too many for the O(C^2) pairwise check here; that
+    # one cell runs at r=1.
     seen = _oracle_checked_filter(monkeypatch)
     rng = random.Random(11)
     for m in (2, 3, 4):
@@ -462,7 +464,12 @@ def test_dominance_filter_matches_pairwise_oracle(monkeypatch):
                         )
                         for _ in range(rng.randint(1, 8))
                     ]
-                    hasse_cluster(seqs, j, t, r, mode)
+                    if mode == "minimal":
+                        hasse_cluster(seqs, j, t, r, mode)
+                    else:
+                        out = hasse_cluster(seqs, j, t, r, mode)
+                        want = hasse_cluster_literal_catalog(seqs, j, t, r)
+                        assert _as_flats(out, m) == want, (seqs, t, r)
     assert len(seen) == 89
     assert max(seen) > 500
 
@@ -546,6 +553,92 @@ def test_minimal_closure_matches_catalog_tops_oracle():
         for t in thresholds:
             out = hasse_cluster(seqs, j, t, 1)
             assert _as_flats(out, m) == hasse_cluster_catalog_tops(seqs, j, t, 1)
+
+
+LITERAL_THRESHOLDS = (*range(0, 101, 10), 1, 33.3, 66.7, 99)
+
+
+def test_literal_matches_catalog_oracle():
+    rng = random.Random(14)
+    for m in (1, 2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        for r in (1, 2, 3) if m <= 3 else (1, 2):
+            for _ in range(3):
+                seqs = _small_corpus(rng, j, m + 1)
+                for t in LITERAL_THRESHOLDS:
+                    if m == 4 and r == 2 and t < 50:
+                        continue
+                    out = hasse_cluster(seqs, j, t, r, "literal")
+                    assert _as_flats(out, m) == hasse_cluster_literal_catalog(seqs, j, t, r)
+    # Every linear order once: then every strict order is a group top.
+    for m, r_max, t_min in ((3, 3, 0), (4, 2, 50)):
+        j = ("a", "b", "c", "d")[:m]
+        universe = LabelTable(j)
+        seqs = [EventSequence(universe, p) for p in permutations(j)]
+        for r in range(1, r_max + 1):
+            for t in LITERAL_THRESHOLDS:
+                if t >= t_min:
+                    out = hasse_cluster(seqs, j, t, r, "literal")
+                    assert _as_flats(out, m) == hasse_cluster_literal_catalog(seqs, j, t, r)
+    # At m = 6 the group under a sequence of all six labels can hold
+    # thousands of orders, and the oracle's dominance filter over them
+    # alone takes seconds; sequences of at most four labels keep it small.
+    for m, most, trials in ((5, 6, 4), (6, 4, 2)):
+        j = ("a", "b", "c", "d", "e", "f")[:m]
+        for _ in range(trials):
+            seqs = _small_corpus(rng, j, most)
+            t = rng.choice((50, 66.7, 90, 100))
+            out = hasse_cluster(seqs, j, t, 1, "literal")
+            assert _as_flats(out, m) == hasse_cluster_literal_catalog(seqs, j, t, 1)
+
+
+def test_literal_zero_threshold_is_every_linear_order():
+    # Six random sequences on four labels, where at t = 0, r = 2 the
+    # catalog search took every pair of the 219 orders as a candidate, and
+    # two copies of one linear order, so that one coverage is not 0.
+    rng = random.Random(6)
+    j = ("a", "b", "c", "d")
+    universe = LabelTable(j + ("x",))
+    seqs = [
+        EventSequence(
+            universe, tuple(rng.choice(universe.labels) for _ in range(rng.randint(0, 6)))
+        )
+        for _ in range(6)
+    ] + [EventSequence(universe, ("b", "a", "d", "c"))] * 2
+    mats = [seq_to_matrix(s, j) for s in seqs]
+    linear = sorted(
+        _pack_rows(seq_to_matrix(EventSequence(universe, p), j).rows, 4)
+        for p in permutations(j)
+    )
+    expected = [
+        ((flat,), sum(1 for mx in mats if _pack_rows(mx.rows, 4) == flat))
+        for flat in linear
+    ]
+    assert len(expected) == 24
+    assert max(cov for _, cov in expected) >= 2
+    for r in (1, 2, 3):
+        out = hasse_cluster(seqs, j, 0, r, "literal")
+        assert _as_flats(out, 4) == expected
+    assert hasse_cluster_literal_catalog(seqs, j, 0, 1) == expected
+
+
+def test_size_cap_beyond_the_groups():
+    # matrices {A<B}, {B<A} and the arrowless one: three groups, the
+    # arrowless graph under all three and each chain under its own, so no
+    # combination has 4 members
+    universe = LabelTable(("A", "B", "C"))
+    seqs = [
+        EventSequence(universe, ("A", "B")),
+        EventSequence(universe, ("B", "A", "C")),
+        EventSequence(universe, ("A", "B", "A")),
+    ]
+    for mode in ("minimal", "literal"):
+        for t in (10, 50, 100):
+            huge = hasse_cluster(seqs, ("A", "B"), t, 10**9, mode)
+            four = hasse_cluster(seqs, ("A", "B"), t, 4, mode)
+            assert huge.clusters == four.clusters
+            assert huge.covered == four.covered
+            assert huge.r == 10**9
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():
