@@ -21,6 +21,7 @@ from .baselines import MatrixPointSet, cluster_common_matrices, cut, dbscan, hie
 from .enumeration import MAX_LABELS, _check_label_count, enumerate_category
 from .errors import HassemineError
 from .estimators import _assignment
+from .exact import exact_fraction
 from .game import corrupt_sequences, simulate, v1_config, v2_config
 from .graphs import Digraph, LabelTable, to_dot, transitive_reduction
 from .io import dump_sequences, episode_row, load_sequences, save_matrix_csv
@@ -32,6 +33,13 @@ def _parse_labels(text: str) -> tuple[str, ...]:
     if not labels:
         raise ValueError(f"no labels in {text!r}")
     return labels
+
+
+def number(text: str) -> str:
+    """The text itself, once the exact reader takes it as a finite number:
+    the library reads it exactly, with no rounding through float."""
+    exact_fraction(text)
+    return text
 
 
 def _write_text(path, text: str) -> None:
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="mutate a fraction of a sequence file")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--fraction", type=float, required=True)
+    p.add_argument("--fraction", type=number, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", default="swap,delete,insert")
     p.add_argument("--universe", help="comma-separated labels when no header")
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine covering sets of order graphs")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--labels", required=True, help="comma-separated, at most 6")
-    p.add_argument("--t", type=float, default=100.0, help="coverage threshold %%")
+    p.add_argument("--t", type=number, default="100", help="coverage threshold %%")
     p.add_argument("--r", type=int, default=1, help="max graphs per covering set")
     p.add_argument("--mode", choices=("minimal", "literal"), default="minimal")
     p.add_argument("--only-label", type=int, choices=(0, 1), default=None)
@@ -233,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("dbscan", "hier"), required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--labels", required=True, help="comma-separated matrix labels")
-    p.add_argument("--eps", type=float, default=None, help="DBSCAN radius")
+    p.add_argument("--eps", type=number, default=None, help="DBSCAN radius")
     p.add_argument("--min-samples", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=None, help="dendrogram cut")
+    p.add_argument("--threshold", type=number, default=None, help="dendrogram cut")
     p.add_argument("--universe", help="comma-separated labels when no header")
     p.add_argument("--out", metavar="DIR", help="write per-cluster common matrices")
     p.set_defaults(func=cmd_baseline)

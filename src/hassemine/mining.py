@@ -149,43 +149,34 @@ def _threshold_fraction(t) -> Fraction:
     return frac
 
 
-def _undominated(candidates: list[tuple[int, ...]]) -> list[int]:
-    """Indices of the candidates that no other candidate dominates.
+def _union(masks) -> int:
+    union = 0
+    for msk in masks:
+        union |= msk
+    return union
 
-    Each candidate is a tuple of flats (`_pack_rows` path matrices). a
-    dominates b iff every member fa of a has a generalization fb in b
-    (fb & ~fa == 0), i.e. a lies inside up_b, the members of U (all
-    candidates' members) that have a generalization in b. b is kept iff
-    the holders of the members outside up_b, with b itself, are every
-    candidate. The candidates must be pairwise distinct sets: then "every
-    candidate other than b" is "every index other than b".
-    """
-    members = sorted({h for cand in candidates for h in cand})
-    slot = {h: k for k, h in enumerate(members)}
-    holders = [0] * len(members)
-    for i, cand in enumerate(candidates):
-        for h in cand:
-            holders[slot[h]] |= 1 << i
-    ups = []
-    for u in members:
-        up = 0
-        for k, v in enumerate(members):
-            if u & ~v == 0:
-                up |= 1 << k
-        ups.append(up)
-    every_member = (1 << len(members)) - 1
-    every_cand = (1 << len(candidates)) - 1
-    kept = []
-    for i, cand in enumerate(candidates):
-        up = 0
-        for h in cand:
-            up |= ups[slot[h]]
-        escapes = 1 << i
-        for k in _bit_indices(every_member & ~up):
-            escapes |= holders[k]
-        if escapes == every_cand:
-            kept.append(i)
-    return kept
+
+def _swap_meets(combo: tuple[int, ...], r: int, groups, entries, meets) -> bool:
+    """Whether another candidate dominates the minimal combination combo:
+    the swap test in hasse_cluster's docstring. groups maps each closed
+    mask to its top, entries lists (entry bit, column mask) pairs, and
+    meets tells whether a union of masks meets the threshold."""
+    k = r - len(combo) + 1
+    for i, msk in enumerate(combo):
+        rest = _union(combo[:i] + combo[i + 1 :])
+        top = groups[msk]
+        subs = {msk & col for bit, col in entries if not top & bit}
+        if not meets(rest | _union(subs)):
+            continue
+        if any(meets(rest | sub) for sub in subs):
+            return True
+        if k > 1:
+            maximal = [a for a in subs if not any(a != b and a & ~b == 0 for b in subs)]
+            if len(maximal) <= k or any(
+                meets(rest | _union(pick)) for pick in combinations(maximal, k)
+            ):
+                return True
+    return False
 
 
 def hasse_cluster(
@@ -253,8 +244,35 @@ def hasse_cluster(
     holds no mask inside another. The output is thus the one that taking
     every pick would give.
 
-    Literal mode keeps some minimal combinations' tops, with no dominance
-    filter. Its candidates are the sets C of 1..r strict orders whose
+    One local swap test decides dominance in both modes: minimal mode runs
+    it on every minimal combination, literal mode on those of r members
+    ((d) below). Take a minimal combination C = {M_1..M_s} with tops b_i,
+    and let k = r - s + 1. C is dominated iff, for some i, the union of
+    the other members' masks, ORed with at most k of the masks
+    M_i & column[e] for entries e outside b_i, meets t. As the matrices
+    are transitive, M_i & column[e] is the mask of the closure of b_i
+    plus e, so it is closed (and 0 if e lies on the diagonal or closes a
+    cycle).
+    Only if: let C' dominate C. Map each member of C' to a member of C
+    that it specializes. The image is all of C: if it were a proper
+    subset, that subset would meet, against C's minimality. Some b_i is
+    not in C', or else C' strictly holds C, and then C' is not minimal
+    (minimal mode) or has more than r members (literal mode, where
+    s = r). So the preimage of b_i holds at most |C'| - (s - 1) <= k
+    proper specializations of b_i, and each lies inside some
+    M_i & column[e] with e outside b_i. The rest of C' lies inside the
+    other M_j, so putting M_j back for every j != i keeps the threshold.
+    If: shrink a meeting swap to a minimal combination. It has at most r
+    members, each a closed mask. It is not inside C minus M_i, which
+    fails by C's minimality, so it holds a proper specialization of b_i:
+    it differs from C and dominates it.
+    The checks run cheapest first: member i is passed over when the other
+    masks with all of its sub-masks fail; then each sub-mask is tried on
+    its own; only then every k of the maximal sub-masks. So a
+    combination costs O(s * m^2) mask operations, plus at most
+    C(m(m-1), k) unions per member when k > 1.
+
+    Literal mode's candidates are the sets C of 1..r strict orders whose
     coverage meets t, and C is output iff no other candidate C' lies in
     the up-set of C, each member of C' specializing some member of C.
     Write M_i for the mask of member b_i of C.
@@ -268,29 +286,13 @@ def hasse_cluster(
         threshold, so C survives iff every top is a linear order (it has
         m(m-1)/2 entries). Then a dominating C' is a subset of C, which
         fails by (b).
-    (d) If |C| = r, a dominating C' fails unless each b_i has a
-        specialization in C' (by (b) and monotonicity), so with at most
-        r members C' is {a_i}, a_i containing b_i. Putting b_j back for
-        every j != i keeps the threshold, so C is dominated iff one
-        swap is: b_i out, a proper specialization a of b_i in. Then a
-        may shrink to the closure of b_i plus one incomparable pair
-        (x, y), and as the matrices are transitive the mask of that
-        closure is M_i & column[(x, y)]. So C survives iff for each i
-        and each entry e outside top_i, meets(the union of the other
-        masks | M_i & column[e]) is false. An entry that would close a
-        cycle, or lies on the diagonal, gives 0, and the other masks
-        alone fail by (b), so those entries need no filter.
+    (d) If |C| = r, the swap test above decides, with k = 1: C survives
+        iff for each i and each entry e outside b_i, the other masks with
+        M_i & column[e] fail.
     (e) At t = 0 every set meets. A set of two or more is dominated by
         any one of its members, and a single non-linear order by a proper
         specialization, so the output is every linear order, each as its
         own set with its own coverage, for any r.
-
-    Minimal mode's dominance test works on U, the distinct graphs in any
-    candidate: for each candidate C'' it ORs the up-sets (within U) of its
-    members, then ORs the candidate masks of the graphs of U outside that
-    union; C'' is kept iff the result, with C'' itself, covers every
-    candidate. That is O(C * |U|) big-int ORs for C candidates, instead of
-    O(C^2) pairwise comparisons.
     """
     seqs = list(seqs)
     if not seqs:
@@ -348,22 +350,11 @@ def hasse_cluster(
     def meets(mask: int) -> bool:
         return covered_count(mask) * 100 * frac.denominator >= frac.numerator * total
 
-    def union_of(masks) -> int:
-        union = 0
-        for msk in masks:
-            union |= msk
-        return union
-
-    def literal_keeps(combo: tuple[int, ...]) -> bool:
-        """(c) and (d) above, for a minimal combination."""
-        if len(combo) < r:
+    def keeps(combo: tuple[int, ...]) -> bool:
+        """(c) above in literal mode below r members, else the swap test."""
+        if mode == "literal" and len(combo) < r:
             return all(groups[msk].bit_count() == m * (m - 1) // 2 for msk in combo)
-        for i, msk in enumerate(combo):
-            rest = union_of(combo[:i] + combo[i + 1 :])
-            top = groups[msk]
-            if any(not top & bit and meets(rest | msk & col) for bit, col in entries):
-                return False
-        return True
+        return not _swap_meets(combo, r, groups, entries, meets)
 
     candidates: list[tuple[tuple[int, ...], int]] = []  # (member flats, covered)
     if mode == "literal" and frac == 0:  # (e) above
@@ -375,24 +366,17 @@ def hasse_cluster(
         group_masks = sorted(groups)
         for size in range(1, min(r, len(group_masks)) + 1):
             for combo in combinations(group_masks, size):
-                union = union_of(combo)
+                union = _union(combo)
                 if not meets(union):
                     continue
-                if any(meets(union_of(sub)) for sub in combinations(combo, size - 1)):
+                if any(meets(_union(sub)) for sub in combinations(combo, size - 1)):
                     continue
-                if mode == "literal" and not literal_keeps(combo):
+                if not keeps(combo):
                     continue
                 tops = tuple(sorted(groups[msk] for msk in combo))
                 candidates.append((tops, covered_count(union)))
     # Flats ascend with the canonical order, so this is the canonical order.
     candidates.sort(key=lambda cand: (len(cand[0]), cand[0]))
-
-    # Every graph sits in exactly one group, so two candidates from
-    # different group combinations differ in some member: the candidates
-    # are pairwise distinct sets, as _undominated requires. Literal mode's
-    # candidates are its output already.
-    if mode == "minimal":
-        candidates = [candidates[i] for i in _undominated([c for c, _ in candidates])]
     clusters = tuple(
         tuple(BoolMatrix(table, _unpack_rows(h, m)) for h in members)
         for members, _ in candidates

@@ -6,15 +6,17 @@ union-find components, and an O(n^3) rational average-linkage clusterer that
 recomputes every cross-cluster mean from the raw distance matrix. The rest
 are slower formulations kept to check faster ones: the Fraction-scan
 average linkage and the all-points DBSCAN that the baselines ran before
-they worked on the distinct points; the pairwise dominance filter that
-hasse_cluster used before its bitset test; the minimal-mode candidate
-search that took every member of each group of a minimal combination and
-tested all of its sub-combinations; the minimal-mode grouping that
-scanned the whole catalog against every distinct sequence matrix and
-took each group's last member as its top; the literal-mode search that
-scanned the catalog, took every pick of every group combination and ran
-the dominance filter; the subset-filtering strict
-order build the catalog used before it grew ideals and filters; the
+they worked on the distinct points; the global bitset dominance filter
+that minimal-mode hasse_cluster ran on all of its candidates before the
+local swap test, and the pairwise filter it ran before that; the
+minimal-mode search that read the closure groups and ran the global
+filter; the minimal-mode candidate search that took every member of each
+group of a minimal combination and tested all of its sub-combinations;
+the minimal-mode grouping that scanned the whole catalog against every
+distinct sequence matrix and took each group's last member as its top;
+the literal-mode search that scanned the catalog, took every pick of
+every group combination and ran the global filter; the subset-filtering
+strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; and a harness
 that checks five characterizations of sequence/diagram consistency against
@@ -27,10 +29,9 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
-from hassemine import Digraph, LabelTable, NotSimple, mining, r_set, restrict, seq_to_matrix
+from hassemine import Digraph, LabelTable, NotSimple, r_set, restrict, seq_to_matrix
 from hassemine.enumeration import enumerate_category
 from hassemine.graphs import _bit_indices, _pack_rows
-from hassemine.mining import _undominated
 from hassemine.sequences import (
     EventSequence,
     flattenings,
@@ -316,6 +317,48 @@ def hasse_cluster_bruteforce(event_seqs, j_labels, t, r, mode):
     return sources
 
 
+def _undominated(candidates):
+    """Indices of the candidates that no other candidate dominates, the
+    global filter that minimal-mode hasse_cluster ran on all of its
+    candidates before it took the local swap test.
+
+    Each candidate is a tuple of flats (`_pack_rows` path matrices). a
+    dominates b iff every member fa of a has a generalization fb in b
+    (fb & ~fa == 0), i.e. a lies inside up_b, the members of U (all
+    candidates' members) that have a generalization in b. b is kept iff
+    the holders of the members outside up_b, with b itself, are every
+    candidate. The candidates must be pairwise distinct sets: then "every
+    candidate other than b" is "every index other than b". O(C * |U|)
+    steps for C candidates.
+    """
+    members = sorted({h for cand in candidates for h in cand})
+    slot = {h: k for k, h in enumerate(members)}
+    holders = [0] * len(members)
+    for i, cand in enumerate(candidates):
+        for h in cand:
+            holders[slot[h]] |= 1 << i
+    ups = []
+    for u in members:
+        up = 0
+        for k, v in enumerate(members):
+            if u & ~v == 0:
+                up |= 1 << k
+        ups.append(up)
+    every_member = (1 << len(members)) - 1
+    every_cand = (1 << len(candidates)) - 1
+    kept = []
+    for i, cand in enumerate(candidates):
+        up = 0
+        for h in cand:
+            up |= ups[slot[h]]
+        escapes = 1 << i
+        for k in _bit_indices(every_member & ~up):
+            escapes |= holders[k]
+        if escapes == every_cand:
+            kept.append(i)
+    return kept
+
+
 def dominance_filter_pairwise(candidates):
     """Indices of the undominated candidates, by comparing every pair.
 
@@ -420,14 +463,56 @@ def hasse_cluster_catalog_tops(seqs, j_labels, t, r):
     return [cands[i] for i in kept]
 
 
+def hasse_cluster_closure_undominated(seqs, j_labels, t, r):
+    """Minimal-mode hasse_cluster as it ran before the local swap test:
+    the nonempty groups are the distinct ANDs of nonempty sets of the
+    distinct sequence matrices (built here one matrix at a time rather than
+    by closure extension), each topped by that AND; a combination of group
+    masks is minimal iff it meets the threshold and each one-smaller
+    sub-combination fails; every minimal combination yields its groups'
+    tops; and the candidates pass _undominated, looked up at call time.
+    Returns the output sets as (flats of the members, covered) pairs."""
+    table = LabelTable(tuple(j_labels))
+    m = len(table)
+    counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
+    distinct = list(counts)
+    tops = set()
+    for d in distinct:
+        tops |= {d} | {top & d for top in tops}
+    groups = {
+        sum(1 << k for k, d in enumerate(distinct) if top & ~d == 0): top for top in tops
+    }
+    threshold = Fraction(str(t)) * len(seqs)
+
+    def covered(masks):
+        union = 0
+        for msk in masks:
+            union |= msk
+        return sum(counts[d] for k, d in enumerate(distinct) if union >> k & 1)
+
+    def meets(masks):
+        return covered(masks) * 100 >= threshold
+
+    cands = []
+    for size in range(1, min(r, len(groups)) + 1):
+        for combo in combinations(sorted(groups), size):
+            if meets(combo) and not any(
+                meets(sub) for sub in combinations(combo, size - 1)
+            ):
+                cands.append((tuple(sorted(groups[msk] for msk in combo)), covered(combo)))
+    cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
+    kept = _undominated([members for members, _ in cands])
+    return [cands[i] for i in kept]
+
+
 def hasse_cluster_literal_catalog(seqs, j_labels, t, r):
     """Literal-mode hasse_cluster as it ran before it read the closure
     groups: every catalog graph is grouped by its mask of distinct sequence
     matrices, read from per-entry column masks; every multiset of 1..r
     group masks whose union meets the threshold yields every pick of that
     many distinct members from each of its groups; the candidates pass
-    mining._undominated, looked up at call time. Returns the output sets
-    as (flats of the members, covered) pairs."""
+    _undominated, looked up at call time. Returns the output sets as
+    (flats of the members, covered) pairs."""
     table = LabelTable(tuple(j_labels))
     m = len(table)
     counts = Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs)
@@ -462,7 +547,7 @@ def hasse_cluster_literal_catalog(seqs, j_labels, t, r):
             for pick in picks:
                 cands.append((tuple(sorted(chain.from_iterable(pick))), cov))
     cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
-    kept = mining._undominated([members for members, _ in cands])
+    kept = _undominated([members for members, _ in cands])
     return [cands[i] for i in kept]
 
 

@@ -16,6 +16,9 @@ Claims covered:
   writes reduction DOT files, and builds no catalog;
 - relevance emits a W/L/R table with infinite pairs first and requires a
   label on every record;
+- the numeric options (--t, --eps, --threshold, --fraction) are read
+  exactly, not through float, and not-a-number, infinite or non-numeric
+  text exits 2 naming the option;
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
@@ -426,6 +429,44 @@ def test_baseline_bad_eps(tmp_path, capsys, eps):
         "--labels", "e1,e2", "--eps", eps,
     )
     assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_numeric_options_are_read_exactly(tmp_path, capsys):
+    # The text of --t, --eps, --threshold and --fraction goes to the
+    # library's exact reader: no rounding through float.
+    path = tmp_path / "ab.jsonl"
+    path.write_text('{"events": ["a", "b"]}\n{"events": ["b", "a"]}\n')
+    mine = ("mine", "--in", str(path), "--universe", "a,b", "--labels", "a,b", "--r", "1")
+    code, out, _ = run_cli(capsys, *mine, "--t", "50.0000000000000000001")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["t"] == "500000000000000000001/10000000000000000000"
+    assert [c["matrices"] for c in payload["clusters"]] == [[[[0, 0], [0, 0]]]]
+    code, out, _ = run_cli(capsys, *mine, "--t", "50.0")
+    payload = json.loads(out)
+    assert code == 0 and payload["t"] == "50" and len(payload["clusters"]) == 2
+
+    src = simulate_file(tmp_path, "src.jsonl", 2, 20)
+    original = load_sequences(src).sequences
+    code, out, _ = run_cli(
+        capsys, "corrupt", "--in", str(src), "--fraction", "0.05000000000000000001"
+    )
+    mutated = parse_sequences(out).sequences
+    assert code == 0
+    assert sum(1 for a, b in zip(original, mutated) if a != b) == 2
+
+    baseline = ("baseline", "--in", str(path), "--universe", "a,b", "--labels", "a,b")
+    for argv, option in (
+        (mine, "--t"),
+        (("corrupt", "--in", str(path), "--universe", "a,b"), "--fraction"),
+        ((*baseline, "--algo", "dbscan"), "--eps"),
+        ((*baseline, "--algo", "hier"), "--threshold"),
+    ):
+        for bad in ("nan", "inf", "-inf", "ten", ""):
+            code, out, err = run_cli(capsys, *argv, f"{option}={bad}")
+            assert code == 2 and out == "", (option, bad)
+            assert f"argument {option}: invalid number value" in err
+            assert "Traceback" not in err
 
 
 def test_usage_errors(capsys):

@@ -9,15 +9,18 @@ Claims covered:
 - Hasse clustering reproduces the worked outputs in both modes, agrees
   with a brute-force reference on random small inputs, and satisfies its
   coverage, size, consistency, and minimality invariants;
-- its candidates are pairwise distinct sets, and the bitset dominance
-  filter keeps exactly what the pairwise filter it replaced keeps;
+- both modes run one local swap test on each minimal group combination
+  and no global dominance filter; minimal mode outputs what the global
+  filter over all of its candidates did, which the oracles check against
+  the pairwise filter; on all 120 linear orders of five labels at t = 1
+  and t = 5 it gives the output that filter gave, pinned by digest;
 - minimal mode, with one candidate (the group tops) per minimal group
   combination, outputs what taking every member of each group did;
 - minimal mode finds its groups as intersections of the distinct sequence
   matrices, builds no catalog, and outputs what the catalog scan did;
-- literal mode reads the same groups, builds no catalog and runs no
-  dominance filter, and outputs what the catalog scan with every pick and
-  the filter did; at t = 0 it outputs every linear order on its own;
+- literal mode reads the same groups and builds no catalog, and outputs
+  what the catalog scan with every pick and the filter did; at t = 0 it
+  outputs every linear order on its own;
 - the combination search stops at the number of groups, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
@@ -25,6 +28,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -59,10 +63,12 @@ from hassemine.mining import (
 )
 from hassemine.sequences import EventSequence, SubsetSequence, is_consistent
 
+import oracles
 from oracles import (
     dominance_filter_pairwise,
     hasse_cluster_bruteforce,
     hasse_cluster_catalog_tops,
+    hasse_cluster_closure_undominated,
     hasse_cluster_every_pick,
     hasse_cluster_literal_catalog,
     strict_orders_bruteforce,
@@ -424,9 +430,9 @@ def test_hasse_cluster_invariants():
 
 
 def _oracle_checked_filter(monkeypatch) -> list[int]:
-    """Make hasse_cluster check each dominance filter call against the
-    pairwise oracle; returns the list of candidate counts seen."""
-    fast = mining._undominated
+    """Make the oracles check each call of their dominance filter against
+    the pairwise filter; returns the list of candidate counts seen."""
+    fast = oracles._undominated
     seen = []
 
     def checked(candidates):
@@ -437,17 +443,21 @@ def _oracle_checked_filter(monkeypatch) -> list[int]:
         seen.append(len(candidates))
         return kept
 
-    monkeypatch.setattr(mining, "_undominated", checked)
+    monkeypatch.setattr(oracles, "_undominated", checked)
     return seen
 
 
 def test_dominance_filter_matches_pairwise_oracle(monkeypatch):
-    # Literal mode runs no dominance filter, so its cells run through the
-    # catalog oracle, which does, and hasse_cluster must agree with it. At
-    # t=0 that oracle takes every pair of the 219 orders on 4 labels as a
-    # candidate (24090), too many for the O(C^2) pairwise check here; that
-    # one cell runs at r=1.
+    # hasse_cluster runs no global dominance filter, so each cell runs
+    # through the oracle of its mode, which does, and hasse_cluster must
+    # agree with that oracle. At t=0 the literal oracle takes every pair of
+    # the 219 orders on 4 labels as a candidate (24090), too many for the
+    # O(C^2) pairwise check here; that one cell runs at r=1 only.
     seen = _oracle_checked_filter(monkeypatch)
+    oracle = {
+        "minimal": hasse_cluster_closure_undominated,
+        "literal": hasse_cluster_literal_catalog,
+    }
     rng = random.Random(11)
     for m in (2, 3, 4):
         j = ("a", "b", "c", "d")[:m]
@@ -464,23 +474,31 @@ def test_dominance_filter_matches_pairwise_oracle(monkeypatch):
                         )
                         for _ in range(rng.randint(1, 8))
                     ]
-                    if mode == "minimal":
-                        hasse_cluster(seqs, j, t, r, mode)
-                    else:
-                        out = hasse_cluster(seqs, j, t, r, mode)
-                        want = hasse_cluster_literal_catalog(seqs, j, t, r)
-                        assert _as_flats(out, m) == want, (seqs, t, r)
+                    out = hasse_cluster(seqs, j, t, r, mode)
+                    want = oracle[mode](seqs, j, t, r)
+                    assert _as_flats(out, m) == want, (seqs, t, r, mode)
+    # one oracle filter call per cell
     assert len(seen) == 89
     assert max(seen) > 500
 
 
 def test_dominance_filter_paper_shaped_r3(monkeypatch):
-    seen = _oracle_checked_filter(monkeypatch)
+    # The swap test sees each minimal group combination once, and keeps
+    # exactly the ones that are output.
+    fast = mining._swap_meets
+    verdicts = []
+
+    def counted(combo, *args):
+        verdicts.append(fast(combo, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(mining, "_swap_meets", counted)
     episodes = corrupt(simulate(v2_config(seed=0), 30, "scripted-mixed"), 0.10, 0)
-    out = hasse_cluster([ep.events for ep in episodes], J5, t=95, r=3)
-    # one candidate per minimal group combination
-    assert seen == [9]
-    assert len(out.clusters) == 2
+    seqs = [ep.events for ep in episodes]
+    out = hasse_cluster(seqs, J5, t=95, r=3)
+    assert len(verdicts) == 9
+    assert verdicts.count(False) == len(out.clusters) == 2
+    assert _as_flats(out, 5) == hasse_cluster_closure_undominated(seqs, J5, 95, 3)
 
 
 def _small_corpus(rng, j, most):
@@ -556,6 +574,64 @@ def test_minimal_closure_matches_catalog_tops_oracle():
 
 
 LITERAL_THRESHOLDS = (*range(0, 101, 10), 1, 33.3, 66.7, 99)
+
+
+def test_minimal_swap_test_matches_closure_undominated_oracle():
+    # Every threshold of the grid and every r <= 4 on each small corpus.
+    rng = random.Random(16)
+    for m in (1, 2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        for r in (1, 2, 3, 4):
+            for _ in range(2):
+                seqs = _small_corpus(rng, j, m + 1)
+                for t in LITERAL_THRESHOLDS:
+                    out = hasse_cluster(seqs, j, t, r)
+                    assert _as_flats(out, m) == hasse_cluster_closure_undominated(seqs, j, t, r)
+    # Every linear order once: then every strict order is a group top, and
+    # at low t thousands of candidates meet the threshold.
+    for m, r_max, t_min in ((2, 4, 0), (3, 4, 0), (4, 1, 0), (4, 2, 50)):
+        j = ("a", "b", "c", "d")[:m]
+        universe = LabelTable(j)
+        seqs = [EventSequence(universe, p) for p in permutations(j)]
+        for r in range(1, r_max + 1):
+            for t in LITERAL_THRESHOLDS:
+                if t >= t_min:
+                    out = hasse_cluster(seqs, j, t, r)
+                    want = hasse_cluster_closure_undominated(seqs, j, t, r)
+                    assert _as_flats(out, m) == want, (m, t, r)
+    # Near-linear sequences on 5 and 6 labels, some with a repeated label
+    # (a partial-order matrix): many groups, and swaps of up to four
+    # sub-masks.
+    for m, trials, most in ((5, 12, 12), (6, 8, 7)):
+        j = ("a", "b", "c", "d", "e", "f")[:m]
+        universe = LabelTable(j)
+        for _ in range(trials):
+            seqs = []
+            for _ in range(rng.randint(3, most)):
+                events = rng.sample(j, rng.randint(m - 2, m))
+                if rng.random() < 0.3:
+                    events.insert(rng.randrange(len(events) + 1), rng.choice(j))
+                seqs.append(EventSequence(universe, tuple(events)))
+            t, r = rng.choice((5, 10, 25, 50, 66.7, 90)), rng.randint(1, 4)
+            out = hasse_cluster(seqs, j, t, r)
+            assert _as_flats(out, m) == hasse_cluster_closure_undominated(seqs, j, t, r)
+
+
+def test_minimal_every_linear_order_at_low_threshold():
+    # All 120 linear orders of five labels at r = 1: thousands of group
+    # combinations meet t, and a global dominance filter over them took
+    # seconds. The digests are of the output computed by that filter.
+    j = ("a", "b", "c", "d", "e")
+    universe = LabelTable(j)
+    seqs = [EventSequence(universe, p) for p in permutations(j)]
+    for t, sets, digest in (
+        (1, 240, "c9718eb36f74e99aa3961fd9c638c0986ff518950639dab5cd21fdf1b5d1cd2b"),
+        (5, 300, "e7fef2fda23a28716656d8d3ad101830fef30b791f2f41f9383facec492b47ba"),
+    ):
+        out = hasse_cluster(seqs, j, t, 1)
+        flats = _as_flats(out, 5)
+        assert len(flats) == sets
+        assert hashlib.sha256(repr(flats).encode()).hexdigest() == digest
 
 
 def test_literal_matches_catalog_oracle():
