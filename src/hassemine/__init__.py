@@ -1,185 +1,109 @@
-"""Mining partial-order concepts from event sequences."""
+"""Mining partial-order concepts from event sequences.
+
+Every public name is imported from its module on first use (PEP 562), so
+`import hassemine` loads none of the submodules and a caller pays only for
+the ones it touches.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CyclicInput,
-    DimensionMismatch,
-    EmptyInput,
-    EmptyJ,
-    EmptyRestriction,
-    EmptyTerm,
-    HassemineError,
-    InvalidMode,
-    InvalidPolicy,
-    InvalidThreshold,
-    LabelMismatch,
-    LabelNotInUniverse,
-    MissingClass,
-    NotLayered,
-    NotSimple,
-    TooManyLabels,
-    UnknownLabel,
-)
-from .graphs import (
-    BoolMatrix,
-    Digraph,
-    LabelTable,
-    is_dag,
-    is_quasi_skeleton,
-    path_matrix,
-    r_set,
-    restrict,
-    to_dot,
-    transitive_closure,
-    transitive_reduction,
-)
-from .enumeration import (
-    LABELED_POSET_COUNTS,
-    MAX_LABELS,
-    CategoryRJ,
-    enumerate_category,
-    generalizations,
-    has_morphism,
-)
-from .sequences import (
-    EventSequence,
-    SubsetSequence,
-    as_subset_sequence,
-    flattenings,
-    gts,
-    is_consistent,
-    restrict_sequence,
-    stg,
-)
-from .mining import (
-    ClusterOutput,
-    RelevanceTable,
-    common_matrix,
-    hasse_cluster,
-    relevance_scores,
-    seq_to_matrix,
-)
-from .baselines import (
-    Dendrogram,
-    MatrixPointSet,
-    cluster_common_matrices,
-    cut,
-    dbscan,
-    hierarchical,
-    l1_distance,
-)
-from .game import (
-    Episode,
-    GameConfig,
-    V1_EVENTS,
-    V2_EVENTS,
-    corrupt,
-    corrupt_sequences,
-    extract_events,
-    simulate,
-    v1_config,
-    v2_config,
-)
-from .io import (
-    SequenceRecords,
-    dump_sequences,
-    episode_row,
-    load_matrix_csv,
-    load_sequences,
-    parse_sequences,
-    save_episodes,
-    save_matrix_csv,
-    save_sequences,
-)
-from .estimators import (
-    AgglomerativeL1,
-    HasseClustering,
-    MatrixDBSCAN,
-    ParamsMixin,
-    RelevanceScorer,
-    SequenceMatrixEncoder,
-)
+# public name -> the submodule that defines it, in the order of __all__
+_MODULE_OF = {
+    "BoolMatrix": "graphs",
+    "Digraph": "graphs",
+    "LabelTable": "graphs",
+    "is_dag": "graphs",
+    "is_quasi_skeleton": "graphs",
+    "path_matrix": "graphs",
+    "r_set": "graphs",
+    "restrict": "graphs",
+    "to_dot": "graphs",
+    "transitive_closure": "graphs",
+    "transitive_reduction": "graphs",
+    "LABELED_POSET_COUNTS": "enumeration",
+    "MAX_LABELS": "enumeration",
+    "CategoryRJ": "enumeration",
+    "enumerate_category": "enumeration",
+    "generalizations": "enumeration",
+    "has_morphism": "enumeration",
+    "EventSequence": "sequences",
+    "SubsetSequence": "sequences",
+    "as_subset_sequence": "sequences",
+    "flattenings": "sequences",
+    "gts": "sequences",
+    "is_consistent": "sequences",
+    "restrict_sequence": "sequences",
+    "stg": "sequences",
+    "ClusterOutput": "mining",
+    "RelevanceTable": "mining",
+    "common_matrix": "mining",
+    "hasse_cluster": "mining",
+    "relevance_scores": "mining",
+    "seq_to_matrix": "mining",
+    "Dendrogram": "baselines",
+    "MatrixPointSet": "baselines",
+    "cluster_common_matrices": "baselines",
+    "cut": "baselines",
+    "dbscan": "baselines",
+    "hierarchical": "baselines",
+    "l1_distance": "baselines",
+    "Episode": "game",
+    "GameConfig": "game",
+    "V1_EVENTS": "game",
+    "V2_EVENTS": "game",
+    "corrupt": "game",
+    "corrupt_sequences": "game",
+    "extract_events": "game",
+    "simulate": "game",
+    "v1_config": "game",
+    "v2_config": "game",
+    "SequenceRecords": "io",
+    "dump_sequences": "io",
+    "episode_row": "io",
+    "load_matrix_csv": "io",
+    "load_sequences": "io",
+    "parse_sequences": "io",
+    "save_episodes": "io",
+    "save_matrix_csv": "io",
+    "save_sequences": "io",
+    "AgglomerativeL1": "estimators",
+    "HasseClustering": "estimators",
+    "MatrixDBSCAN": "estimators",
+    "ParamsMixin": "estimators",
+    "RelevanceScorer": "estimators",
+    "SequenceMatrixEncoder": "estimators",
+    "HassemineError": "errors",
+    "CyclicInput": "errors",
+    "DimensionMismatch": "errors",
+    "EmptyInput": "errors",
+    "EmptyJ": "errors",
+    "EmptyRestriction": "errors",
+    "EmptyTerm": "errors",
+    "InvalidMode": "errors",
+    "InvalidPolicy": "errors",
+    "InvalidThreshold": "errors",
+    "LabelMismatch": "errors",
+    "LabelNotInUniverse": "errors",
+    "MissingClass": "errors",
+    "NotLayered": "errors",
+    "NotSimple": "errors",
+    "TooManyLabels": "errors",
+    "UnknownLabel": "errors",
+}
 
-__all__ = [
-    "BoolMatrix",
-    "Digraph",
-    "LabelTable",
-    "is_dag",
-    "is_quasi_skeleton",
-    "path_matrix",
-    "r_set",
-    "restrict",
-    "to_dot",
-    "transitive_closure",
-    "transitive_reduction",
-    "LABELED_POSET_COUNTS",
-    "MAX_LABELS",
-    "CategoryRJ",
-    "enumerate_category",
-    "generalizations",
-    "has_morphism",
-    "EventSequence",
-    "SubsetSequence",
-    "as_subset_sequence",
-    "flattenings",
-    "gts",
-    "is_consistent",
-    "restrict_sequence",
-    "stg",
-    "ClusterOutput",
-    "RelevanceTable",
-    "common_matrix",
-    "hasse_cluster",
-    "relevance_scores",
-    "seq_to_matrix",
-    "Dendrogram",
-    "MatrixPointSet",
-    "cluster_common_matrices",
-    "cut",
-    "dbscan",
-    "hierarchical",
-    "l1_distance",
-    "Episode",
-    "GameConfig",
-    "V1_EVENTS",
-    "V2_EVENTS",
-    "corrupt",
-    "corrupt_sequences",
-    "extract_events",
-    "simulate",
-    "v1_config",
-    "v2_config",
-    "SequenceRecords",
-    "dump_sequences",
-    "episode_row",
-    "load_matrix_csv",
-    "load_sequences",
-    "parse_sequences",
-    "save_episodes",
-    "save_matrix_csv",
-    "save_sequences",
-    "AgglomerativeL1",
-    "HasseClustering",
-    "MatrixDBSCAN",
-    "ParamsMixin",
-    "RelevanceScorer",
-    "SequenceMatrixEncoder",
-    "HassemineError",
-    "CyclicInput",
-    "DimensionMismatch",
-    "EmptyInput",
-    "EmptyJ",
-    "EmptyRestriction",
-    "EmptyTerm",
-    "InvalidMode",
-    "InvalidPolicy",
-    "InvalidThreshold",
-    "LabelMismatch",
-    "LabelNotInUniverse",
-    "MissingClass",
-    "NotLayered",
-    "NotSimple",
-    "TooManyLabels",
-    "UnknownLabel",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

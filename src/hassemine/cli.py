@@ -17,15 +17,10 @@ import json
 import os
 import sys
 
-from .baselines import MatrixPointSet, cluster_common_matrices, cut, dbscan, hierarchical
-from .enumeration import MAX_LABELS, _check_label_count, enumerate_category
 from .errors import HassemineError
-from .estimators import _assignment
-from .exact import exact_fraction
-from .game import corrupt_sequences, simulate, v1_config, v2_config
-from .graphs import Digraph, LabelTable, to_dot, transitive_reduction
-from .io import dump_sequences, episode_row, load_sequences, save_matrix_csv
-from .mining import hasse_cluster, relevance_scores
+
+# Each handler imports the modules its subcommand uses, so that one
+# process of a pipeline loads only its own part of the package.
 
 
 def _parse_labels(text: str) -> tuple[str, ...]:
@@ -38,6 +33,8 @@ def _parse_labels(text: str) -> tuple[str, ...]:
 def number(text: str) -> str:
     """The text itself, once the exact reader takes it as a finite number:
     the library reads it exactly, with no rounding through float."""
+    from .exact import exact_fraction
+
     exact_fraction(text)
     return text
 
@@ -51,6 +48,8 @@ def _write_text(path, text: str) -> None:
 
 
 def _load(args):
+    from .io import load_sequences
+
     universe = _parse_labels(args.universe) if args.universe else None
     try:
         return load_sequences(args.infile, universe=universe)
@@ -60,6 +59,9 @@ def _load(args):
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import _check_label_count, enumerate_category
+    from .graphs import LabelTable, to_dot
+
     _check_label_count(args.m)
     table = LabelTable(tuple(f"x{i}" for i in range(1, args.m + 1)))
     category = enumerate_category(table)
@@ -81,6 +83,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .game import simulate, v1_config, v2_config
+    from .io import dump_sequences, episode_row
+
     kwargs = {"seed": args.seed}
     if args.step_cap is not None:
         kwargs["step_cap"] = args.step_cap
@@ -92,6 +97,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    from .game import corrupt_sequences
+    from .io import dump_sequences
+
     records = _load(args)
     ops = _parse_labels(args.ops)
     mutated = corrupt_sequences(records.sequences, args.fraction, args.seed, ops=ops)
@@ -104,6 +112,9 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from .graphs import Digraph, to_dot, transitive_reduction
+    from .mining import hasse_cluster
+
     records = _load(args)
     sequences = records.sequences
     if args.only_label is not None:
@@ -144,6 +155,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_relevance(args) -> int:
+    from .mining import relevance_scores
+
     records = _load(args)
     if any(label is None for label in records.labels):
         raise ValueError("relevance needs a 0/1 label on every record")
@@ -157,6 +170,16 @@ def cmd_relevance(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baselines import (
+        MatrixPointSet,
+        cluster_common_matrices,
+        cut,
+        dbscan,
+        hierarchical,
+    )
+    from .estimators import _assignment
+    from .io import save_matrix_csv
+
     records = _load(args)
     labels = _parse_labels(args.labels)
     points = MatrixPointSet.from_sequences(records.sequences, labels)
@@ -183,6 +206,8 @@ def cmd_baseline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .enumeration import MAX_LABELS
+
     parser = argparse.ArgumentParser(
         prog="hassemine",
         description="Mine partial-order concepts from event sequences.",

@@ -18,12 +18,14 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import LabelNotInUniverse
-from .game import Episode
 from .graphs import BoolMatrix, LabelTable
 from .sequences import EventSequence
+
+if TYPE_CHECKING:
+    from .game import Episode
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,28 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     or events value that is not a list of strings, a missing events field,
     a label other than the integers 0 and 1 (true and 1.0 included), or an
     event outside the universe.
+
+    Recorded play repeats itself, so each distinct record line is decoded
+    and checked once. A later copy of a line whose fields other than
+    events are JSON scalars gets a row of its own (a new dict with a new
+    events list) and shares the first copy's EventSequence object. Any
+    other line, headers and blank lines included, is read on its own, so a
+    repeated bad line fails at its first copy.
     """
     header_table = None
     rows = []
     numbers = []
+    # firsts[i]: the index of the first row read from row i's line text
+    firsts = []
+    seen: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
+        first = seen.get(line)
+        if first is not None:
+            row = rows[first]
+            rows.append({**row, "events": list(row["events"])})
+            numbers.append(number)
+            firsts.append(first)
+            continue
         if not line.strip():
             continue
         try:
@@ -118,6 +137,15 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
         label = record.get("label")
         if label is not None and (type(label) is not int or label not in (0, 1)):
             raise ValueError(f"line {number}: label must be 0 or 1, got {label!r}")
+        # a copy's dict is shallow, so only records with no other list or
+        # object in them may be copied
+        if all(
+            type(value) is not list and type(value) is not dict
+            for key, value in record.items()
+            if key != "events"
+        ):
+            seen[line] = len(rows)
+        firsts.append(len(rows))
         rows.append(record)
         numbers.append(number)
     if universe is not None:
@@ -130,7 +158,10 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     else:
         raise ValueError("no universe: add a header record or pass one explicitly")
     sequences = []
-    for number, row in zip(numbers, rows):
+    for index, (number, first, row) in enumerate(zip(numbers, firsts, rows)):
+        if first != index:
+            sequences.append(sequences[first])
+            continue
         # Against a universe of strings, a hashable non-string event fails
         # the universe lookup and an unhashable one raises TypeError there,
         # so this one pass checks the event types as well.

@@ -7,7 +7,7 @@ diagram, and flattenings (linear extensions as path graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import (
@@ -28,10 +28,16 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class EventSequence:
-    """An ordered list of labels drawn from a universe."""
+    """An ordered list of labels drawn from a universe.
+
+    The hash is computed once, at construction: encoding a corpus hashes
+    every one of its sequences, and the generated hash would rehash the
+    universe and the events each time.
+    """
 
     universe: LabelTable
     events: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         events = tuple(self.events)
@@ -39,6 +45,15 @@ class EventSequence:
         for e in events:
             if e not in self.universe:
                 raise LabelNotInUniverse(f"event {e!r} not in universe")
+        object.__setattr__(self, "_hash", hash((self.universe.labels, events)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so an unpickled copy
+        # computes its own hash instead of carrying the pickled one
+        return EventSequence, (self.universe, self.events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -18,18 +18,29 @@ the literal-mode search that scanned the catalog, took every pick of
 every group combination and ran the global filter; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
-before the corpus was encoded once per distinct sequence; and a harness
-that checks five characterizations of sequence/diagram consistency against
-each other.
+before the corpus was encoded once per distinct sequence; the sequence
+file parser that decoded, checked and built a sequence for every line,
+repeated or not; and a harness that checks five characterizations of
+sequence/diagram consistency against each other.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
-from hassemine import Digraph, LabelTable, NotSimple, r_set, restrict, seq_to_matrix
+from hassemine import (
+    Digraph,
+    LabelNotInUniverse,
+    LabelTable,
+    NotSimple,
+    SequenceRecords,
+    r_set,
+    restrict,
+    seq_to_matrix,
+)
 from hassemine.enumeration import enumerate_category
 from hassemine.graphs import _bit_indices, _pack_rows
 from hassemine.sequences import (
@@ -656,3 +667,62 @@ def check_consistency_equivalences(s: EventSequence, w: Digraph) -> bool:
 
     votes = {direct, via_restriction, via_shared_morphism, via_nested_morphism, via_flattening}
     return len(votes) == 1
+
+
+def parse_sequences_per_line(text: str, universe=None) -> SequenceRecords:
+    """parse_sequences as it was before it read each distinct line once:
+    every line is decoded and checked, and builds its own sequence."""
+    header_table = None
+    rows = []
+    numbers = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"line {number}: invalid JSON at column {exc.colno}: {exc.msg}"
+            ) from None
+        if not isinstance(record, dict):
+            raise ValueError(f"line {number}: expected a JSON object")
+        if "universe" in record and "events" not in record:
+            if header_table is not None:
+                raise ValueError(f"line {number}: duplicate universe header")
+            labels = record["universe"]
+            if type(labels) is not list or not all(type(x) is str for x in labels):
+                raise ValueError(f"line {number}: universe must be a list of strings")
+            try:
+                header_table = LabelTable(tuple(labels))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            continue
+        if "events" not in record:
+            raise ValueError(f"line {number}: sequence record lacks events")
+        if type(record["events"]) is not list:
+            raise ValueError(f"line {number}: events must be a list of strings")
+        label = record.get("label")
+        if label is not None and (type(label) is not int or label not in (0, 1)):
+            raise ValueError(f"line {number}: label must be 0 or 1, got {label!r}")
+        rows.append(record)
+        numbers.append(number)
+    if universe is not None:
+        universe = tuple(universe)
+        if not all(type(x) is str for x in universe):
+            raise ValueError("universe must be a list of strings")
+        table = LabelTable(universe)
+    elif header_table is not None:
+        table = header_table
+    else:
+        raise ValueError("no universe: add a header record or pass one explicitly")
+    sequences = []
+    for number, row in zip(numbers, rows):
+        try:
+            sequences.append(EventSequence(table, tuple(row["events"])))
+        except LabelNotInUniverse as exc:
+            raise LabelNotInUniverse(f"line {number}: {exc}") from None
+        except TypeError:
+            raise ValueError(f"line {number}: events must be a list of strings") from None
+    records = SequenceRecords(table, tuple(rows))
+    object.__setattr__(records, "sequences", tuple(sequences))
+    return records

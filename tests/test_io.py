@@ -14,6 +14,11 @@ Claims covered:
 - arbitrary JSON lines either parse or fail with an error naming a line,
   except the file-level one for a missing universe;
 - the parsed sequences are built once and shared by later reads;
+- a text of repeated lines parses as the per-line parser parsed it: the
+  same rows, sequences, labels and table, or the same error;
+- copies of a line get rows of their own and share one sequence object,
+  except records holding a list or object other than events, which are
+  read anew; a repeated bad line fails at its first copy;
 - episode rows carry exactly the five published fields;
 - matrix CSV round-trips exactly and rejects ragged or non-binary data.
 """
@@ -42,6 +47,7 @@ from hassemine import (
     simulate,
     v1_config,
 )
+from oracles import parse_sequences_per_line
 
 TABLE = LabelTable(("e1", "e2", "e5"))
 
@@ -170,6 +176,58 @@ def test_arbitrary_lines_parse_or_name_their_line(text, universe):
         assert 1 <= int(number.group(1)) <= len(text.splitlines())
     else:
         assert len(records.sequences) == len(records.rows)
+
+
+def _outcome(parse, text, universe):
+    try:
+        records = parse(text, universe)
+    except (HassemineError, ValueError) as exc:
+        return type(exc), str(exc)
+    return records.table, records.rows, records.sequences, records.labels
+
+
+@given(
+    st.lists(LINES, min_size=1, max_size=4).flatmap(
+        lambda lines: st.lists(st.sampled_from(lines), max_size=8).map("\n".join)
+    ),
+    st.none() | st.lists(st.sampled_from(("a", "b", "c")), unique=True).map(tuple),
+)
+def test_repeated_lines_match_per_line_oracle(text, universe):
+    for text in (text, HEADER + text):
+        assert _outcome(parse_sequences, text, universe) == _outcome(
+            parse_sequences_per_line, text, universe
+        )
+
+
+def test_repeated_lines_share_sequences_not_rows():
+    line = '{"events": ["a", "b"], "label": 1, "note": "x"}'
+    nested = '{"events": ["a"], "extra": [1]}'
+    lines = [line, nested, line, nested, line]
+    records = parse_sequences(HEADER + "\n".join(lines))
+    rows = records.rows
+    assert rows == tuple(json.loads(text) for text in lines)
+    assert list(rows[2]) == ["events", "label", "note"]
+    assert len({id(row) for row in rows}) == 5
+    assert len({id(row["events"]) for row in rows}) == 5
+    assert rows[1]["extra"] is not rows[3]["extra"]
+    first, other, second, nested_copy, third = records.sequences
+    assert first is second is third
+    assert other == nested_copy and other is not nested_copy
+    rows[0]["events"].append("c")
+    rows[0]["label"] = 0
+    rows[1]["extra"].append(2)
+    rows[1]["events"].clear()
+    assert rows[2:] == tuple(json.loads(text) for text in lines[2:])
+    assert first.events == ("a", "b")
+
+
+def test_repeated_bad_line_names_its_first_copy():
+    good = '{"events": ["a"]}\n'
+    for bad in ('{"events": ["z"]}\n', '{"events": ["a"], "label": 2}\n', "[1]\n"):
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            parse_sequences(HEADER + good + bad + good + bad)
+    with pytest.raises(ValueError, match=r"^line 3: duplicate universe header$"):
+        parse_sequences(HEADER + good + HEADER)
 
 
 def test_sequences_built_once():

@@ -1,0 +1,69 @@
+"""The package namespace and what importing it loads.
+
+Claims covered:
+- `import hassemine` loads none of its submodules; each public name is
+  imported from its module on first use;
+- a `simulate` run of the CLI loads neither the mining nor the baseline
+  modules;
+- `from hassemine import *` binds every name in `__all__`, `dir` lists
+  them all, and an unknown name raises AttributeError.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hassemine
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The package's modules that a fresh interpreter holds after `code`."""
+    report = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('hassemine')))"
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code + report],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import hassemine") == {"hassemine"}
+    loaded = _loaded_after("import hassemine\nhassemine.LabelTable")
+    assert loaded == {"hassemine", "hassemine.graphs", "hassemine.errors"}
+
+
+def test_simulate_loads_no_mining(tmp_path):
+    out = tmp_path / "episodes.jsonl"
+    loaded = _loaded_after(
+        "from hassemine.cli import main\n"
+        f"assert main(['simulate', '--version', '2', '--episodes', '3', '--out', {str(out)!r}]) == 0"
+    )
+    assert "hassemine.game" in loaded
+    assert not loaded & {"hassemine.mining", "hassemine.baselines"}
+    assert out.read_text().count("\n") == 4
+
+
+def test_namespace_lists_and_binds_every_public_name():
+    assert set(hassemine.__all__) <= set(dir(hassemine))
+    assert len(set(hassemine.__all__)) == len(hassemine.__all__)
+    namespace: dict = {}
+    exec("from hassemine import *", namespace)
+    assert set(hassemine.__all__) <= set(namespace)
+    from hassemine import mining
+
+    assert namespace["hasse_cluster"] is mining.hasse_cluster
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hassemine.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hassemine import no_such_name", {})

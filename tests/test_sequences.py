@@ -7,12 +7,20 @@ Claims covered:
 - flattening counts equal a brute-force permutation filter, and every
   flattening maps into its source graph;
 - consistency matches the worked examples, is monotone under weakening,
-  and all five equivalence-harness characterizations agree.
+  and all five equivalence-harness characterizations agree;
+- an event sequence's hash, computed once at construction, agrees with
+  equality, survives dataclasses.replace and pickling into another
+  process, and leaves the repr unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -280,3 +288,40 @@ def test_factorization_through_restriction():
             continue
         p_i_pairs = r_set(restrict(p, sub)).pairs()
         assert g_pairs <= p_i_pairs <= p_pairs
+
+
+def test_event_sequence_hash_agrees_with_equality():
+    table = LabelTable(("a", "b", "c"))
+    s = EventSequence(table, ["a", "b"])
+    t = EventSequence(LabelTable(("a", "b", "c")), ("a", "b"))
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert len({s, t}) == 1
+    assert s != EventSequence(table, ("b", "a"))
+    assert s != EventSequence(LabelTable(("a", "b", "d")), ("a", "b"))
+    assert repr(s) == (
+        "EventSequence(universe=LabelTable(labels=('a', 'b', 'c')), events=('a', 'b'))"
+    )
+    moved = dataclasses.replace(s, events=("c",))
+    fresh = EventSequence(table, ("c",))
+    assert moved == fresh and hash(moved) == hash(fresh)
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_event_sequence_hash_is_recomputed_after_unpickling():
+    # string hashes depend on the process's hash seed, so a sequence
+    # pickled in another process must not bring its hash along
+    code = (
+        "import pickle, sys\n"
+        "from hassemine import EventSequence, LabelTable\n"
+        "s = EventSequence(LabelTable(('a', 'b')), ('b', 'a'))\n"
+        "sys.stdout.buffer.write(pickle.dumps(s))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src)
+    data = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    s = pickle.loads(data)
+    fresh = EventSequence(LabelTable(("a", "b")), ("b", "a"))
+    assert s == fresh and hash(s) == hash(fresh)
+    assert s in {fresh}
