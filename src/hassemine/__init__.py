@@ -22,8 +22,8 @@ _MODULE_OF = {
     "to_dot": "graphs",
     "transitive_closure": "graphs",
     "transitive_reduction": "graphs",
+    "MAX_LABELS": "graphs",
     "LABELED_POSET_COUNTS": "enumeration",
-    "MAX_LABELS": "enumeration",
     "CategoryRJ": "enumeration",
     "enumerate_category": "enumeration",
     "generalizations": "enumeration",

@@ -59,8 +59,8 @@ def _load(args):
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import _check_label_count, enumerate_category
-    from .graphs import LabelTable, to_dot
+    from .enumeration import enumerate_category
+    from .graphs import LabelTable, _check_label_count, to_dot
 
     _check_label_count(args.m)
     table = LabelTable(tuple(f"x{i}" for i in range(1, args.m + 1)))
@@ -206,7 +206,7 @@ def cmd_baseline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .enumeration import MAX_LABELS
+    from .graphs import MAX_LABELS
 
     parser = argparse.ArgumentParser(
         prog="hassemine",

@@ -15,12 +15,13 @@ from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import LabelMismatch, TooManyLabels
+from .errors import LabelMismatch
 from .graphs import (
     BoolMatrix,
     Digraph,
     LabelTable,
     _bit_indices,
+    _check_label_count,
     _pack_rows,
     _predecessor_rows,
     _reduction_rows,
@@ -31,15 +32,6 @@ from .graphs import (
 #: Number of strict partial orders (equivalently quasi-skeleton graphs) on
 #: m labeled vertices, for m = 0..6.
 LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
-
-#: Hard enumeration cap; one unit of headroom over the m <= 5 workloads.
-MAX_LABELS = 6
-
-
-def _check_label_count(m: int) -> None:
-    """Raise TooManyLabels unless 1 <= m <= MAX_LABELS."""
-    if not 1 <= m <= MAX_LABELS:
-        raise TooManyLabels(f"enumeration supports 1..{MAX_LABELS} labels, got {m}")
 
 
 def _closed_sets(need: Sequence[int]) -> list[int]:

@@ -11,7 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import CyclicInput, UnknownLabel
+from .errors import CyclicInput, TooManyLabels, UnknownLabel
+
+#: Hard cap on the labels that enumeration and mining accept; one unit of
+#: headroom over the m <= 5 workloads.
+MAX_LABELS = 6
+
+
+def _check_label_count(m: int) -> None:
+    """Raise TooManyLabels unless 1 <= m <= MAX_LABELS."""
+    if not 1 <= m <= MAX_LABELS:
+        raise TooManyLabels(f"enumeration supports 1..{MAX_LABELS} labels, got {m}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .enumeration import _check_label_count
 from .errors import (
     EmptyInput,
     EmptyJ,
@@ -38,6 +37,7 @@ from .graphs import (
     Digraph,
     LabelTable,
     _bit_indices,
+    _check_label_count,
     _closure_rows,
     _pack_rows,
     _unpack_rows,
@@ -179,6 +179,65 @@ def _swap_meets(combo: tuple[int, ...], r: int, groups, entries, meets) -> bool:
     return False
 
 
+def _coverage_counter(mult: list[int]):
+    """covered_count(mask): the sum of mult[j] over the bits j of mask.
+
+    One table per 8 bits answers a byte at a time: entry b of table c sums
+    mult[8c + j] over the bits j of b. A table doubles once per bit, the
+    new half adding that bit's multiplicity to the old half; the top one
+    stops at the last bit, as no mask reaches past it.
+    """
+    tables = []
+    for lo in range(0, len(mult), 8):
+        tab = [0]
+        for c in mult[lo : lo + 8]:
+            tab += [got + c for got in tab]
+        tables.append(tab)
+
+    def covered_count(mask: int) -> int:
+        got = 0
+        for tab in tables:
+            got += tab[mask & 255]
+            mask >>= 8
+        return got
+
+    return covered_count
+
+
+def _minimal_combinations(masks: list[int], r: int, need: int, covered_count):
+    """Yield (combo, covered) for every minimal combination of at most r of
+    the ascending masks: its union covers at least need, and the union of
+    any of its proper sub-combinations covers less. combo ascends, as masks
+    do. The critical-extension search in hasse_cluster's docstring."""
+    if need <= 0:  # the empty combination already meets
+        return
+    own = [covered_count(msk) for msk in masks]
+    # combo, its union and coverage, each member's private bits, next index
+    stack = [((), 0, 0, (), 0)]
+    while stack:
+        combo, union, cov, private, start = stack.pop()
+        last = len(combo) + 1 == r
+        short = need - cov
+        for k in range(start, len(masks)):
+            if last and own[k] < short:  # its gain cannot cover the shortfall
+                continue
+            msk = masks[k]
+            gain = msk & ~union
+            if not gain:
+                continue
+            for p in private:
+                if not p & ~msk:  # a member would lose its last private bit
+                    break
+            else:
+                got = covered_count(gain)
+                if got < short:
+                    if not last:
+                        kept = tuple(p & ~msk for p in private) + (gain,)
+                        stack.append((combo + (msk,), union | msk, cov + got, kept, k + 1))
+                elif all(got - covered_count(p & ~msk) < short for p in private):
+                    yield combo + (msk,), cov + got
+
+
 def hasse_cluster(
     seqs: Iterable[AnySequence],
     j_labels: Iterable[str],
@@ -211,10 +270,38 @@ def hasse_cluster(
     column[e] is the mask of the matrices holding e (every matrix when h
     is arrowless). A combination that meets the threshold is minimal iff
     each of its sub-combinations one smaller fails: coverage only grows
-    with the union of masks, so no smaller one can then meet it. At size 1
-    that checks the empty union, which is how t = 0 yields no sets. No
-    combination holds more masks than there are groups, so the search
-    stops there, whatever r is.
+    with the union of masks, so no smaller one can then meet it. The empty
+    combination meets only at t = 0, which is how t = 0 yields no sets.
+
+    The minimal combinations are found by critical extension, as in the
+    MMCS minimal-transversal search (Murakami & Uno 2014): a depth-first
+    search over the ascending group masks. The private bits of a member
+    are the bits of its mask that no other member covers. A combination
+    is extended, by a mask after its last, only while its union fails t,
+    and an extension is dropped if the new mask brings no new bit or
+    leaves an old member without a private bit. Every prefix P of a
+    minimal combination C is reached: P fails, being a proper
+    sub-combination of C; each member of C has a private bit in C, or
+    dropping it would leave C's union and coverage unchanged; and a
+    member's private bits in C lie among its private bits in P, which has
+    fewer other members. Extensions only add members, so a member that
+    has lost its private bits never gets one back, and the dropped
+    branches hold no minimal combination. Dropping a member from a
+    combination removes exactly its private bits from the union. So a
+    meeting combination is minimal iff, for each old member, its coverage
+    less that of the member's private bits fails t; dropping the new
+    member gives back the parent's union, which fails by construction.
+    The members' private bits are nonempty and disjoint, so no combination
+    the search reaches holds more members than there are distinct
+    matrices, and the search stops there, whatever r is.
+
+    Coverage is an integer: the sum of the multiplicities of the matrices
+    in a union, read a byte at a time from tables, and it meets t iff it
+    reaches need = ceil(t * total / 100). A child's coverage is its
+    parent's plus that of the bits it gains. At the last level, where a
+    child cannot be extended, it is skipped when its group's own coverage
+    is below the shortfall, need less the parent's coverage. The search
+    keeps no state but its stack, whose depth is bounded as above.
 
     Both modes find the groups without a catalog. If h has mask M != 0,
     then h lies inside the AND of M, and every matrix holding that AND
@@ -338,17 +425,12 @@ def hasse_cluster(
                     stack.append((sub, grown, k + 1))
 
     total = len(seqs)
-    cov_cache: dict[int, int] = {}
-
-    def covered_count(mask: int) -> int:
-        got = cov_cache.get(mask)
-        if got is None:
-            got = sum(mult[jbit] for jbit in _bit_indices(mask))
-            cov_cache[mask] = got
-        return got
+    # coverage meets t iff covered * 100 >= t * total
+    need = -(-frac.numerator * total // (100 * frac.denominator))
+    covered_count = _coverage_counter(mult)
 
     def meets(mask: int) -> bool:
-        return covered_count(mask) * 100 * frac.denominator >= frac.numerator * total
+        return covered_count(mask) >= need
 
     def keeps(combo: tuple[int, ...]) -> bool:
         """(c) above in literal mode below r members, else the swap test."""
@@ -363,18 +445,9 @@ def hasse_cluster(
             # only a sequence with this very matrix lies over a linear order
             candidates.append(((_pack_rows(rows, m),), counts[rows]))
     else:
-        group_masks = sorted(groups)
-        for size in range(1, min(r, len(group_masks)) + 1):
-            for combo in combinations(group_masks, size):
-                union = _union(combo)
-                if not meets(union):
-                    continue
-                if any(meets(_union(sub)) for sub in combinations(combo, size - 1)):
-                    continue
-                if not keeps(combo):
-                    continue
-                tops = tuple(sorted(groups[msk] for msk in combo))
-                candidates.append((tops, covered_count(union)))
+        for combo, cov in _minimal_combinations(sorted(groups), r, need, covered_count):
+            if keeps(combo):
+                candidates.append((tuple(sorted(groups[msk] for msk in combo)), cov))
     # Flats ascend with the canonical order, so this is the canonical order.
     candidates.sort(key=lambda cand: (len(cand[0]), cand[0]))
     clusters = tuple(

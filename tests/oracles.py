@@ -15,7 +15,9 @@ group of a minimal combination and tested all of its sub-combinations;
 the minimal-mode grouping that scanned the whole catalog against every
 distinct sequence matrix and took each group's last member as its top;
 the literal-mode search that scanned the catalog, took every pick of
-every group combination and ran the global filter; the subset-filtering
+every group combination and ran the global filter; the size-by-size
+search for minimal group combinations that tried every combination of
+1..r group masks before the critical-extension search; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; the sequence
@@ -560,6 +562,31 @@ def hasse_cluster_literal_catalog(seqs, j_labels, t, r):
     cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
     kept = _undominated([members for members, _ in cands])
     return [cands[i] for i in kept]
+
+
+def minimal_combinations_by_size(groups, r, meets):
+    """The minimal combinations of group masks as hasse_cluster found them
+    before the critical-extension search: each combination of 1..r of the
+    ascending masks, size by size up to the number of groups, whose union
+    meets and each of whose one-smaller sub-combinations fails. groups is
+    a dict keyed by the masks (or any iterable of them); meets takes a
+    union mask. Returns the combinations as ascending tuples."""
+    masks = sorted(groups)
+
+    def union(combo):
+        got = 0
+        for msk in combo:
+            got |= msk
+        return got
+
+    found = []
+    for size in range(1, min(r, len(masks)) + 1):
+        for combo in combinations(masks, size):
+            if meets(union(combo)) and not any(
+                meets(union(sub)) for sub in combinations(combo, size - 1)
+            ):
+                found.append(combo)
+    return found
 
 
 def order_rows_oracle(s, j_labels):

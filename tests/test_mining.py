@@ -21,7 +21,12 @@ Claims covered:
 - literal mode reads the same groups and builds no catalog, and outputs
   what the catalog scan with every pick and the filter did; at t = 0 it
   outputs every linear order on its own;
-- the combination search stops at the number of groups, whatever r is;
+- the critical-extension search yields exactly the minimal group
+  combinations that the size-by-size search over every combination of
+  1..r group masks found, and its byte tables count coverage as a plain
+  bit sum does;
+- the combination search stops at the number of groups and at the number
+  of distinct sequence matrices, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first.
 """
@@ -71,6 +76,7 @@ from oracles import (
     hasse_cluster_closure_undominated,
     hasse_cluster_every_pick,
     hasse_cluster_literal_catalog,
+    minimal_combinations_by_size,
     strict_orders_bruteforce,
     strict_orders_filtering,
 )
@@ -715,6 +721,143 @@ def test_size_cap_beyond_the_groups():
             assert huge.clusters == four.clusters
             assert huge.covered == four.covered
             assert huge.r == 10**9
+
+
+def test_size_cap_beyond_the_distinct_matrices():
+    # 14 episodes, 30% corrupted: 10 distinct matrices and dozens of
+    # groups. Each member of a minimal combination covers a matrix that no
+    # other member does, so no combination holds more than 10 members;
+    # searching every combination of up to r group masks never returned
+    # at r = 10**9. The digest is of the r = 6 output of that search.
+    episodes = corrupt(simulate(v2_config(seed=0), 14, "scripted-mixed"), 0.3, 1)
+    seqs = [ep.events for ep in episodes]
+    assert len({seq_to_matrix(s, J5) for s in seqs}) == 10
+    six = _as_flats(hasse_cluster(seqs, J5, 90, 6), 5)
+    digest = "6602584351509948ac2eb6ebd3631aaf655b43d43ce3ba198e4ce4e372dddf74"
+    assert hashlib.sha256(repr(six).encode()).hexdigest() == digest
+    assert _as_flats(hasse_cluster(seqs, J5, 90, 10**9), 5) == six
+
+
+def _spied_search(monkeypatch) -> list:
+    """Record each call of the critical-extension search: its arguments
+    and the (combo, covered) pairs it yielded."""
+    search = mining._minimal_combinations
+    calls = []
+
+    def spy(masks, r, need, covered_count):
+        found = list(search(masks, r, need, covered_count))
+        calls.append((masks, r, need, covered_count, found))
+        return iter(found)
+
+    monkeypatch.setattr(mining, "_minimal_combinations", spy)
+    return calls
+
+
+def _check_against_size_by_size(calls) -> int:
+    """Compare each recorded search with the size-by-size oracle as sets of
+    combinations, before any swap test; returns and forgets the number of
+    distinct searches checked."""
+    checked = set()
+    for masks, r, need, covered_count, found in calls:
+        combos = [combo for combo, _ in found]
+        assert len(set(combos)) == len(combos)
+        for combo, cov in found:
+            assert list(combo) == sorted(combo)
+            assert cov == covered_count(mining._union(combo))
+        if (tuple(masks), r, need) not in checked:
+            checked.add((tuple(masks), r, need))
+            want = minimal_combinations_by_size(masks, r, lambda u: covered_count(u) >= need)
+            assert set(combos) == set(want), (masks, r, need)
+    calls.clear()
+    return len(checked)
+
+
+def _near_linear_corpus(rng, j, pool_size):
+    """1..12 sequences drawn from a pool of pool_size, each a shuffle of
+    all of j but at most one label, sometimes with one label again."""
+    universe = LabelTable(j)
+
+    def draw():
+        events = rng.sample(j, rng.randint(max(1, len(j) - 1), len(j)))
+        if rng.random() < 0.3:
+            events.insert(rng.randrange(len(events) + 1), rng.choice(j))
+        return EventSequence(universe, tuple(events))
+
+    pool = [draw() for _ in range(pool_size)]
+    return [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+
+
+def test_critical_extension_matches_size_by_size_oracle(monkeypatch):
+    calls = _spied_search(monkeypatch)
+    checked = 0
+    # Every r up to 6 and every threshold of the grid, in both modes.
+    rng = random.Random(19)
+    for m in (1, 2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        for trial in range(8):
+            if trial % 2:
+                seqs = _small_corpus(rng, j, m + 1)
+            else:
+                seqs = _near_linear_corpus(rng, j, rng.randint(2, 5))
+            for r in range(1, 7):
+                for t in LITERAL_THRESHOLDS:
+                    for mode in ("minimal", "literal"):
+                        hasse_cluster(seqs, j, t, r, mode)
+            checked += _check_against_size_by_size(calls)
+    # Every linear order of three labels: 19 groups, all strict orders.
+    j = ("a", "b", "c")
+    seqs = [EventSequence(LabelTable(j), p) for p in permutations(j)]
+    for r in range(1, 7):
+        for t in LITERAL_THRESHOLDS:
+            for mode in ("minimal", "literal"):
+                hasse_cluster(seqs, j, t, r, mode)
+    checked += _check_against_size_by_size(calls)
+    # At m = 5 and 6, a pool of at most four sequences keeps the oracle's
+    # every-combination scan small at r = 6; larger pools give dozens of
+    # groups, where it stays small at r = 3.
+    for trial in range(120):
+        j = ("a", "b", "c", "d", "e", "f")[: rng.choice((5, 6))]
+        if trial % 2:
+            seqs = _near_linear_corpus(rng, j, rng.randint(1, 4))
+            t, r = rng.choice(LITERAL_THRESHOLDS), rng.randint(1, 6)
+        else:
+            seqs = _near_linear_corpus(rng, j, rng.randint(5, 8))
+            t, r = rng.choice(LITERAL_THRESHOLDS), rng.randint(1, 3)
+        for mode in ("minimal", "literal"):
+            hasse_cluster(seqs, j, t, r, mode)
+        checked += _check_against_size_by_size(calls)
+    assert checked > 1000
+
+
+def test_critical_extension_on_arbitrary_masks():
+    # The search reads no group structure: any ascending family of
+    # distinct nonzero masks, any multiplicities and any need will do.
+    rng = random.Random(23)
+    for _ in range(2000):
+        d = rng.randint(1, 10)
+        mult = [rng.randint(1, 9) for _ in range(d)]
+        covered_count = mining._coverage_counter(mult)
+        masks = sorted({rng.randint(1, (1 << d) - 1) for _ in range(rng.randint(1, 12))})
+        need = rng.randint(0, sum(mult) + 1)
+        r = rng.randint(1, 7)
+        found = list(mining._minimal_combinations(masks, r, need, covered_count))
+        want = minimal_combinations_by_size(masks, r, lambda u: covered_count(u) >= need)
+        assert sorted(combo for combo, _ in found) == sorted(want), (masks, mult, need, r)
+        assert all(cov == covered_count(mining._union(combo)) for combo, cov in found)
+
+
+def test_coverage_tables_match_bit_sums():
+    # One table per 8 distinct matrices; 1, 7, 9, 17 and 70 leave the top
+    # table short of 8 bits.
+    rng = random.Random(8)
+    for d in (1, 7, 8, 9, 17, 70):
+        mult = [rng.randint(1, 50) for _ in range(d)]
+        covered_count = mining._coverage_counter(mult)
+        every = (1 << d) - 1
+        masks = [0, every, *(1 << j for j in range(d))]
+        masks += [rng.getrandbits(d) for _ in range(200)]
+        for mask in masks:
+            assert covered_count(mask) == sum(c for j, c in enumerate(mult) if mask >> j & 1)
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():

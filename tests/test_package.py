@@ -4,7 +4,8 @@ Claims covered:
 - `import hassemine` loads none of its submodules; each public name is
   imported from its module on first use;
 - a `simulate` run of the CLI loads neither the mining nor the baseline
-  modules;
+  modules, and neither it nor a `mine` run loads the catalog module
+  (`enumeration`);
 - `from hassemine import *` binds every name in `__all__`, `dir` lists
   them all, and an unknown name raises AttributeError.
 """
@@ -50,8 +51,25 @@ def test_simulate_loads_no_mining(tmp_path):
         f"assert main(['simulate', '--version', '2', '--episodes', '3', '--out', {str(out)!r}]) == 0"
     )
     assert "hassemine.game" in loaded
-    assert not loaded & {"hassemine.mining", "hassemine.baselines"}
+    assert not loaded & {"hassemine.mining", "hassemine.baselines", "hassemine.enumeration"}
     assert out.read_text().count("\n") == 4
+
+
+def test_mine_loads_no_enumeration(tmp_path):
+    from hassemine.cli import main
+
+    episodes = str(tmp_path / "episodes.jsonl")
+    assert main(["simulate", "--version", "2", "--episodes", "8", "--out", episodes]) == 0
+    argv = ["mine", "--in", episodes, "--labels", "e1,e2,e5,e6,e11", "--t", "90", "--r", "2"]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from hassemine.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as payload:\n"
+        f"    assert main({argv!r}) == 0\n"
+        "assert payload.getvalue().startswith('{')"
+    )
+    assert "hassemine.mining" in loaded
+    assert not loaded & {"hassemine.enumeration", "hassemine.baselines"}
 
 
 def test_namespace_lists_and_binds_every_public_name():
