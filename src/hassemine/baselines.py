@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import combinations
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
@@ -77,14 +78,18 @@ def l1_distance(a: BoolMatrix, b: BoolMatrix) -> int:
     return sum((ra ^ rb).bit_count() for ra, rb in zip(a.rows, b.rows))
 
 
-def _distance_table(pts: MatrixPointSet) -> tuple[list[list[int]], list[int]]:
-    """(dist, slots): the L1 table of the k distinct points in first-seen
-    order, and each point's slot among them."""
+def _distance_table(pts: MatrixPointSet) -> tuple[list[list[int]], list[int], list[int]]:
+    """(dist, slots, mult): the L1 table of the k distinct points in
+    first-seen order, each point's slot among them, and each distinct
+    point's number of copies."""
     uniq, slots = _distinct(pts.points)
     dist = [[0] * len(uniq) for _ in uniq]
     for a, b in combinations(range(len(uniq)), 2):
         dist[a][b] = dist[b][a] = l1_distance(uniq[a], uniq[b])
-    return dist, slots
+    mult = [0] * len(uniq)
+    for u in slots:
+        mult[u] += 1
+    return dist, slots, mult
 
 
 def dbscan(
@@ -107,10 +112,7 @@ def dbscan(
     if radius < 0:
         raise ValueError("eps must be nonnegative")
     limit = math.floor(radius)  # distances are integers
-    dist, slots = _distance_table(pts)
-    mult = [0] * len(dist)
-    for u in slots:
-        mult[u] += 1
+    dist, slots, mult = _distance_table(pts)
     core = [
         sum(c for c, d in zip(mult, row) if d <= limit) >= min_samples
         for row in dist
@@ -143,17 +145,26 @@ class Dendrogram:
     """Agglomerative merge list with exact rational heights.
 
     Leaves are 0..n_leaves-1; the k-th merge joins two existing cluster ids
-    and creates id n_leaves+k. Heights are nondecreasing.
+    and creates id n_leaves+k. Heights are nondecreasing. Ids and n_leaves
+    must be integers: 1.7 is refused, not truncated to 1.
     """
 
     n_leaves: int
     merges: tuple[tuple[int, int, Fraction], ...]
 
     def __post_init__(self):
-        merges = tuple(
-            (int(a), int(b), exact_fraction(h)) for a, b, h in self.merges
-        )
-        object.__setattr__(self, "merges", merges)
+        try:
+            object.__setattr__(self, "n_leaves", index(self.n_leaves))
+        except TypeError:
+            raise ValueError(f"n_leaves must be an integer, got {self.n_leaves!r}") from None
+        merges = []
+        for k, (a, b, h) in enumerate(self.merges):
+            try:
+                a, b = index(a), index(b)
+            except TypeError:
+                raise ValueError(f"merge {k} joins non-integer cluster ids {a!r}, {b!r}") from None
+            merges.append((a, b, exact_fraction(h)))
+        object.__setattr__(self, "merges", tuple(merges))
         if self.n_leaves < 1:
             raise ValueError("a dendrogram needs at least one leaf")
         if len(merges) != self.n_leaves - 1:
@@ -212,12 +223,9 @@ def hierarchical(pts: MatrixPointSet) -> Dendrogram:
     n = len(pts)
     if n == 0:
         raise EmptyInput("hierarchical clustering needs at least one point")
-    dist, slots = _distance_table(pts)
+    dist, slots, size = _distance_table(pts)
     k = len(dist)
     merges, ident, next_id = _merge_copies(slots, k)
-    size = [0] * k
-    for u in slots:
-        size[u] += 1
     sums = [
         [size[u] * size[v] * d for v, d in enumerate(row)]
         for u, row in enumerate(dist)

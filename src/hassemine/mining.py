@@ -156,16 +156,14 @@ def _union(masks) -> int:
     return union
 
 
-def _swap_meets(combo: tuple[int, ...], r: int, groups, entries, meets) -> bool:
+def _swap_meets(combo: tuple[int, ...], r: int, columns, meets) -> bool:
     """Whether another candidate dominates the minimal combination combo:
-    the swap test in hasse_cluster's docstring. groups maps each closed
-    mask to its top, entries lists (entry bit, column mask) pairs, and
-    meets tells whether a union of masks meets the threshold."""
+    the swap test in hasse_cluster's docstring. columns holds the column
+    masks, and meets tells whether a union of masks meets the threshold."""
     k = r - len(combo) + 1
     for i, msk in enumerate(combo):
         rest = _union(combo[:i] + combo[i + 1 :])
-        top = groups[msk]
-        subs = {msk & col for bit, col in entries if not top & bit}
+        subs = {msk & col for col in columns} - {msk}
         if not meets(rest | _union(subs)):
             continue
         if any(meets(rest | sub) for sub in subs):
@@ -268,9 +266,8 @@ def hasse_cluster(
     under, and candidates come from combinations of group masks. The mask
     of a graph h is the AND of column[e] over the entry bits e of h, where
     column[e] is the mask of the matrices holding e (every matrix when h
-    is arrowless). A combination that meets the threshold is minimal iff
-    each of its sub-combinations one smaller fails: coverage only grows
-    with the union of masks, so no smaller one can then meet it. The empty
+    is arrowless). A combination is minimal when its union meets the
+    threshold and the union of no proper sub-combination does. The empty
     combination meets only at t = 0, which is how t = 0 yields no sets.
 
     The minimal combinations are found by critical extension, as in the
@@ -306,20 +303,23 @@ def hasse_cluster(
     Both modes find the groups without a catalog. If h has mask M != 0,
     then h lies inside the AND of M, and every matrix holding that AND
     holds h, so the AND has mask M too: a nonempty group is closed, and
-    its top is the AND of its mask. Conversely the AND of any nonempty set
-    S of the matrices is a strict order, and it tops its own group, as it
-    lies inside the AND of its own mask, which lies inside it. So the
-    nonempty groups are the distinct ANDs of nonempty sets of the
-    matrices: the closed sets of the entry bits, in the sense of frequent
-    closed itemset mining with the matrices as transactions. They are
-    found by prefix-preserving closure extension (Uno et al. 2004, LCM):
-    from the AND of every matrix, a closed top is extended by each entry
-    bit above the one it was reached by, to the AND of the matrices that
-    hold the top and that bit, and the result is kept iff it gains no
-    lower bit. Every nonempty group is reached exactly once, and each
-    costs at most m(m-1) extensions of at most m(m-1) column tests each,
-    however many matrices there are. At m <= 6 there are at most 130023
-    groups.
+    its top is the AND of its mask: the entries whose column holds M.
+    Every group mask is the AND of the columns of a set of entries, those
+    of any member. Conversely, let the AND M of the columns of a set E of
+    entries be nonzero, and let b be the AND of the matrices in M, a
+    strict order. b holds E, so its mask lies inside M; every matrix in M
+    holds b, so M lies inside its mask: M is the mask of b. So the
+    nonempty groups are the nonzero ANDs of sets of columns, the empty set
+    giving every matrix: the closure system of the column extents, as in
+    formal concept analysis (Ganter & Wille 1999). One fold over the
+    columns finds them: from {every}, each column in turn is ANDed with
+    every mask found so far and the nonzero results join them. After a
+    column, the masks are the nonzero ANDs of sets of the columns so far,
+    as a zero AND stays zero under any later column. That is at most
+    (number of entries) x (number of groups) ANDs, however many matrices
+    there are. At m <= 6 there are at most 130023 groups. A top costs
+    m(m-1) column tests, so it is read only for the members of a
+    combination that (c) below tests or that is output.
 
     Minimal mode emits one candidate per minimal combination: its groups'
     tops. Every other member of a group M is a proper subset of its top.
@@ -335,10 +335,12 @@ def hasse_cluster(
     it on every minimal combination, literal mode on those of r members
     ((d) below). Take a minimal combination C = {M_1..M_s} with tops b_i,
     and let k = r - s + 1. C is dominated iff, for some i, the union of
-    the other members' masks, ORed with at most k of the masks
-    M_i & column[e] for entries e outside b_i, meets t. As the matrices
-    are transitive, M_i & column[e] is the mask of the closure of b_i
-    plus e, so it is closed (and 0 if e lies on the diagonal or closes a
+    the other members' masks, ORed with at most k sub-masks of M_i, meets
+    t. A sub-mask is any M_i & column[e] other than M_i: every matrix in
+    M_i holds the entries of b_i, and b_i holds every entry that they all
+    hold, so M_i & column[e] differs from M_i exactly when e lies outside
+    b_i. As the matrices are transitive, M_i & column[e] is the mask of
+    the closure of b_i plus e, so it is closed (and 0 if e closes a
     cycle).
     Only if: let C' dominate C. Map each member of C' to a member of C
     that it specializes. The image is all of C: if it were a proper
@@ -405,24 +407,16 @@ def hasse_cluster(
     for jbit, df in enumerate(d_flats):
         for e in _bit_indices(df):
             column[e] |= 1 << jbit
-    entries = [(1 << e, col) for e, col in enumerate(column) if col]
+    columns = set(column) - {0}
 
     def top_of(mask: int) -> int:
-        return sum(bit for bit, col in entries if mask & ~col == 0)
+        """The top of the group with this nonzero mask."""
+        return sum(1 << e for e, col in enumerate(column) if mask & ~col == 0)
 
-    # every nonempty group once, by prefix-preserving closure extension
-    groups: dict[int, int] = {}  # closed mask -> its top
-    stack = [(every, top_of(every), 0)]
-    while stack:
-        mask, top, start = stack.pop()
-        groups[mask] = top
-        for k in range(start, len(entries)):
-            bit, col = entries[k]
-            sub = mask & col
-            if sub and not top & bit:
-                grown = top_of(sub)
-                if grown & ~top & (bit - 1) == 0:  # gained no lower entry
-                    stack.append((sub, grown, k + 1))
+    # the group masks: the nonzero ANDs of sets of columns, one column at a time
+    groups = {every}
+    for col in columns:
+        groups |= {msk & col for msk in groups} - {0}
 
     total = len(seqs)
     # coverage meets t iff covered * 100 >= t * total
@@ -435,8 +429,8 @@ def hasse_cluster(
     def keeps(combo: tuple[int, ...]) -> bool:
         """(c) above in literal mode below r members, else the swap test."""
         if mode == "literal" and len(combo) < r:
-            return all(groups[msk].bit_count() == m * (m - 1) // 2 for msk in combo)
-        return not _swap_meets(combo, r, groups, entries, meets)
+            return all(top_of(msk).bit_count() == m * (m - 1) // 2 for msk in combo)
+        return not _swap_meets(combo, r, columns, meets)
 
     candidates: list[tuple[tuple[int, ...], int]] = []  # (member flats, covered)
     if mode == "literal" and frac == 0:  # (e) above
@@ -447,7 +441,7 @@ def hasse_cluster(
     else:
         for combo, cov in _minimal_combinations(sorted(groups), r, need, covered_count):
             if keeps(combo):
-                candidates.append((tuple(sorted(groups[msk] for msk in combo)), cov))
+                candidates.append((tuple(sorted(top_of(msk) for msk in combo)), cov))
     # Flats ascend with the canonical order, so this is the canonical order.
     candidates.sort(key=lambda cand: (len(cand[0]), cand[0]))
     clusters = tuple(

@@ -17,7 +17,9 @@ distinct sequence matrix and took each group's last member as its top;
 the literal-mode search that scanned the catalog, took every pick of
 every group combination and ran the global filter; the size-by-size
 search for minimal group combinations that tried every combination of
-1..r group masks before the critical-extension search; the subset-filtering
+1..r group masks before the critical-extension search; the closed-set
+search (prefix-preserving closure extension) that found the groups
+before the fold over the column masks; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; the sequence
@@ -562,6 +564,43 @@ def hasse_cluster_literal_catalog(seqs, j_labels, t, r):
     cands.sort(key=lambda cand: (len(cand[0]), cand[0]))
     kept = _undominated([members for members, _ in cands])
     return [cands[i] for i in kept]
+
+
+def closure_groups_lcm(seqs, j_labels):
+    """The nonempty groups as hasse_cluster found them before the column
+    fold, by prefix-preserving closure extension (Uno et al. 2004, LCM):
+    from the AND of every distinct sequence matrix, a closed top is
+    extended by each entry bit above the one it was reached by, to the AND
+    of the matrices that hold the top and that bit, and the result is kept
+    iff it gains no lower entry bit. Bit k of a mask stands for the k-th
+    distinct matrix in first-seen order. Returns {closed mask: its top}."""
+    table = LabelTable(tuple(j_labels))
+    m = len(table)
+    distinct = list(Counter(_pack_rows(seq_to_matrix(s, table.labels).rows, m) for s in seqs))
+    every = (1 << len(distinct)) - 1
+    column = [0] * (m * m)
+    for k, d in enumerate(distinct):
+        for e in _bit_indices(d):
+            column[e] |= 1 << k
+    entries = [(1 << e, col) for e, col in enumerate(column) if col]
+
+    def top_of(mask):
+        return sum(bit for bit, col in entries if mask & ~col == 0)
+
+    groups = {}
+    stack = [(every, top_of(every), 0)]
+    while stack:
+        mask, top, start = stack.pop()
+        assert mask not in groups  # each group is reached once
+        groups[mask] = top
+        for k in range(start, len(entries)):
+            bit, col = entries[k]
+            sub = mask & col
+            if sub and not top & bit:
+                grown = top_of(sub)
+                if grown & ~top & (bit - 1) == 0:  # gained no lower entry
+                    stack.append((sub, grown, k + 1))
+    return groups
 
 
 def minimal_combinations_by_size(groups, r, meets):

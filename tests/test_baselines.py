@@ -372,6 +372,13 @@ def test_dendrogram_validation():
         Dendrogram(3, ((0, 1, 2), (2, 3, 1)))
     with pytest.raises(ValueError):
         Dendrogram(3, ((0, 4, 1), (2, 3, 2)))
+    # a non-integer id or leaf count is refused, not truncated
+    with pytest.raises(ValueError, match="merge 0 joins non-integer cluster ids 0, 1.7"):
+        Dendrogram(2, ((0, 1.7, 0),))
+    with pytest.raises(ValueError, match="merge 1 joins non-integer"):
+        Dendrogram(3, ((0, 1, 1), ("2", 3, 2)))
+    with pytest.raises(ValueError, match="n_leaves must be an integer"):
+        Dendrogram(2.5, ((0, 1, 0),))
 
 
 def test_singleton_cluster_common_matrix():

@@ -18,6 +18,9 @@ Claims covered:
   combination, outputs what taking every member of each group did;
 - minimal mode finds its groups as intersections of the distinct sequence
   matrices, builds no catalog, and outputs what the catalog scan did;
+- the fold over the column masks finds the groups that closure extension
+  found, and when every linear order occurs the group tops are exactly
+  the strict orders;
 - literal mode reads the same groups and builds no catalog, and outputs
   what the catalog scan with every pick and the filter did; at t = 0 it
   outputs every linear order on its own;
@@ -37,7 +40,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
@@ -57,7 +60,7 @@ from hassemine import (
     TooManyLabels,
 )
 from hassemine import mining
-from hassemine.enumeration import enumerate_category
+from hassemine.enumeration import _strict_orders, enumerate_category
 from hassemine.game import corrupt, simulate, v2_config
 from hassemine.graphs import _pack_rows
 from hassemine.mining import (
@@ -70,6 +73,7 @@ from hassemine.sequences import EventSequence, SubsetSequence, is_consistent
 
 import oracles
 from oracles import (
+    closure_groups_lcm,
     dominance_filter_pairwise,
     hasse_cluster_bruteforce,
     hasse_cluster_catalog_tops,
@@ -858,6 +862,75 @@ def test_coverage_tables_match_bit_sums():
         masks += [rng.getrandbits(d) for _ in range(200)]
         for mask in masks:
             assert covered_count(mask) == sum(c for j, c in enumerate(mult) if mask >> j & 1)
+
+
+def _spied_group_masks(monkeypatch):
+    """mine(seqs, j) runs hasse_cluster in minimal mode and returns the
+    group masks it hands to the combination search."""
+    calls = _spied_search(monkeypatch)
+
+    def mine(seqs, j):
+        hasse_cluster(seqs, j, 100, 1)
+        (masks, *_), = calls
+        calls.clear()
+        return masks
+
+    return mine
+
+
+def test_column_fold_matches_closure_extension_oracle(monkeypatch):
+    mine = _spied_group_masks(monkeypatch)
+    # Every corpus of one or two sequences, each an arrangement of some of
+    # the labels, at m <= 4; three at m <= 3.
+    checked = 0
+    for m in (1, 2, 3, 4):
+        j = ("a", "b", "c", "d")[:m]
+        universe = LabelTable(j)
+        pool = [
+            EventSequence(universe, p)
+            for size in range(m + 1)
+            for p in permutations(j, size)
+        ]
+        for size in (1, 2, 3) if m <= 3 else (1, 2):
+            for seqs in combinations_with_replacement(pool, size):
+                assert mine(seqs, j) == sorted(closure_groups_lcm(seqs, j)), seqs
+                checked += 1
+    assert checked == (2 + 3 + 4) + (5 + 15 + 35) + (16 + 136 + 816) + (65 + 2145)
+    # Random corpora with repeated and outside labels at m = 3 and 4, random
+    # near-linear ones at m = 5 and 6, and random sets of linear orders.
+    rng = random.Random(31)
+    for _ in range(40):
+        j = ("a", "b", "c", "d")[: rng.choice((3, 4))]
+        seqs = _small_corpus(rng, j, len(j) + 1)
+        assert mine(seqs, j) == sorted(closure_groups_lcm(seqs, j)), seqs
+    for trial in range(60):
+        j = ("a", "b", "c", "d", "e", "f")[: rng.choice((5, 6))]
+        if trial % 3 == 2:
+            orders = list(permutations(j))
+            seqs = [EventSequence(LabelTable(j), p) for p in rng.sample(orders, 30)]
+        else:
+            seqs = _near_linear_corpus(rng, j, rng.randint(1, 12))
+        assert mine(seqs, j) == sorted(closure_groups_lcm(seqs, j)), seqs
+
+
+def test_group_tops_of_every_linear_order_are_the_strict_orders(monkeypatch):
+    # Every strict order is the intersection of its linear extensions, so
+    # when every linear order occurs, every strict order tops a group. A
+    # group's top is the AND of the matrices in its mask.
+    mine = _spied_group_masks(monkeypatch)
+    for m in (1, 2, 3, 4, 5):
+        j = ("a", "b", "c", "d", "e")[:m]
+        universe = LabelTable(j)
+        seqs = [EventSequence(universe, p) for p in permutations(j)]
+        flats = [_pack_rows(seq_to_matrix(s, j).rows, m) for s in seqs]
+        tops = []
+        for mask in mine(seqs, j):
+            top = -1
+            for k, flat in enumerate(flats):
+                if mask >> k & 1:
+                    top &= flat
+            tops.append(top)
+        assert sorted(tops) == list(_strict_orders(m))
 
 
 def test_hasse_cluster_output_is_sorted_and_canonical():
