@@ -20,15 +20,14 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import combinations
+from itertools import chain, combinations
 from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .mining import _analysis_table, _common_rows, _distinct, _encode
-from .sequences import AnySequence
+from .sequences import AnySequence, _analysis_table, _common_rows, _distinct, _encode
 
 
 @dataclass(frozen=True)
@@ -182,6 +181,17 @@ class Dendrogram:
             consumed.add(b)
 
 
+def _assignment(clusters, noise, n) -> list[int]:
+    """Per-point cluster ids in input order; noise points get -1."""
+    out = [-1] * n
+    for cluster_id, members in enumerate(clusters):
+        for i in members:
+            out[i] = cluster_id
+    for i in noise:
+        out[i] = -1
+    return out
+
+
 def _merge_copies(slots: list[int], k: int):
     """The height-0 merges that join copies of one point, in lowest-(a, b)
     order: the distinct point whose smallest live id is lowest merges its
@@ -279,6 +289,8 @@ def cluster_common_matrices(
 
     The members are encoded once, together, and each cluster folds the
     distinct keys of its members, as common_matrix does for one corpus.
+    A member must be an integer index into seqs: -1 is refused, not read
+    as the last sequence.
     """
     clusters = [list(c) for c in clusters]
     if not clusters:
@@ -286,7 +298,16 @@ def cluster_common_matrices(
     if not all(clusters):
         raise EmptyInput("common matrix needs at least one sequence")
     table = _analysis_table(j_labels)
-    keys, slots = _encode([seqs[i] for c in clusters for i in c], table)
+    members = []
+    for i in chain.from_iterable(clusters):
+        try:
+            ok = 0 <= index(i) < len(seqs)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"cluster member {i!r} is not an index in 0..{len(seqs) - 1}")
+        members.append(seqs[i])
+    keys, slots = _encode(members, table)
     out = []
     start = 0
     for c in clusters:

@@ -172,12 +172,12 @@ def cmd_relevance(args) -> int:
 def cmd_baseline(args) -> int:
     from .baselines import (
         MatrixPointSet,
+        _assignment,
         cluster_common_matrices,
         cut,
         dbscan,
         hierarchical,
     )
-    from .estimators import _assignment
     from .io import save_matrix_csv
 
     records = _load(args)

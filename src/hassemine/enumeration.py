@@ -104,16 +104,16 @@ class CategoryRJ:
     access and then kept: rows[i] (the bit rows of flats[i]),
     path_matrices[i] (a BoolMatrix of rows[i]) and graphs[i] (its
     transitive reduction as a Digraph).
-    index_of packs its matrix and bisects flats. Generalization up-sets
-    (the morphism relation) are materialized lazily per graph. Instances
-    are immutable and safe to share.
+    index_of packs its matrix and bisects flats. A generalization up-set
+    (the morphism relation) is computed on each call and not kept, so a
+    shared catalog does not grow. Instances are immutable and safe to
+    share.
     """
 
     def __init__(self, labels: LabelTable):
         _check_label_count(len(labels))
         self.labels = labels
         self.flats = _strict_orders(len(labels))
-        self._upsets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -142,14 +142,8 @@ class CategoryRJ:
 
     def upset(self, i: int) -> tuple[int, ...]:
         """Indices of every generalization of graph i (morphism i -> j)."""
-        cached = self._upsets.get(i)
-        if cached is None:
-            flat_i = self.flats[i]
-            cached = tuple(
-                j for j, flat_j in enumerate(self.flats) if flat_j & ~flat_i == 0
-            )
-            self._upsets[i] = cached
-        return cached
+        flat_i = self.flats[i]
+        return tuple(j for j, flat_j in enumerate(self.flats) if flat_j & ~flat_i == 0)
 
 
 @lru_cache(maxsize=16)

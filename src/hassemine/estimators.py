@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 
-from .baselines import MatrixPointSet, cut, dbscan, hierarchical
+from .baselines import MatrixPointSet, _assignment, cut, dbscan, hierarchical
 from .mining import hasse_cluster, relevance_scores
 
 
@@ -47,17 +47,6 @@ def _as_point_set(X) -> MatrixPointSet:
         return X
     points = tuple(X)
     return MatrixPointSet(points, tuple(str(i) for i in range(len(points))))
-
-
-def _assignment(clusters, noise, n) -> list[int]:
-    """Per-point cluster ids in input order; noise points get -1."""
-    out = [-1] * n
-    for cluster_id, members in enumerate(clusters):
-        for index in members:
-            out[index] = cluster_id
-    for index in noise:
-        out[index] = -1
-    return out
 
 
 class SequenceMatrixEncoder(ParamsMixin):

@@ -84,8 +84,33 @@ def _rows_from_entries(entries, m: int) -> tuple[int, ...]:
     return _coerce_rows(rows, m)
 
 
+class _BitRows:
+    """What Digraph and BoolMatrix share: one int row per label of `labels`,
+    bit j of rows[i] holding entry (i, j). A plain class, not a dataclass:
+    each subclass's generated equality, hash and repr stay its own, so a
+    graph never equals a matrix with the same rows."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", _coerce_rows(self.rows, len(self.labels)))
+
+    @classmethod
+    def from_entries(cls, labels: LabelTable, entries):
+        return cls(labels, _rows_from_entries(entries, len(labels)))
+
+    @property
+    def m(self) -> int:
+        return len(self.labels)
+
+    def _label_pairs(self) -> Iterator[tuple[str, str]]:
+        """(labels[i], labels[j]) for every set bit j of every row i."""
+        labs = self.labels.labels
+        for i, row in enumerate(self.rows):
+            for j in _bit_indices(row):
+                yield labs[i], labs[j]
+
+
 @dataclass(frozen=True)
-class Digraph:
+class Digraph(_BitRows):
     """Directed graph: bit j of rows[i] set iff arrow labels[i] -> labels[j].
 
     The representation enforces at most one arrow per ordered pair; loops are
@@ -95,9 +120,6 @@ class Digraph:
 
     labels: LabelTable
     rows: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _coerce_rows(self.rows, len(self.labels)))
 
     @classmethod
     def arrowless(cls, labels: LabelTable) -> "Digraph":
@@ -110,46 +132,22 @@ class Digraph:
             rows[labels.position(u)] |= 1 << labels.position(v)
         return cls(labels, tuple(rows))
 
-    @classmethod
-    def from_entries(cls, labels: LabelTable, entries) -> "Digraph":
-        return cls(labels, _rows_from_entries(entries, len(labels)))
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
     def has_arrow(self, u: str, v: str) -> bool:
         return bool(self.rows[self.labels.position(u)] >> self.labels.position(v) & 1)
 
     def arrows(self) -> list[tuple[str, str]]:
-        labs = self.labels.labels
-        return [
-            (labs[i], labs[j])
-            for i, row in enumerate(self.rows)
-            for j in _bit_indices(row)
-        ]
+        return list(self._label_pairs())
 
     def arrow_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
 
 @dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(_BitRows):
     """Square 0/1 matrix sharing its LabelTable's ordering (same row packing)."""
 
     labels: LabelTable
     rows: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _coerce_rows(self.rows, len(self.labels)))
-
-    @classmethod
-    def from_entries(cls, labels: LabelTable, entries) -> "BoolMatrix":
-        return cls(labels, _rows_from_entries(entries, len(labels)))
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
@@ -160,12 +158,7 @@ class BoolMatrix:
 
     def pairs(self) -> frozenset[tuple[str, str]]:
         """The relation as a set of (label, label) pairs, diagonal included if set."""
-        labs = self.labels.labels
-        return frozenset(
-            (labs[i], labs[j])
-            for i, row in enumerate(self.rows)
-            for j in _bit_indices(row)
-        )
+        return frozenset(self._label_pairs())
 
     def sort_key(self) -> tuple[int, ...]:
         """Row-major flattened entries; ascending sort on this is the canonical order."""

@@ -5,12 +5,7 @@ strictly ordered within one sequence), the common matrix of a sequence
 collection (pairs ordered the same way everywhere they co-occur), Hasse
 clustering (undominated small sets of quasi-skeleton graphs covering a
 required share of the sequences), and win/lose relevance scoring of ordered
-label pairs.
-
-A corpus has one encoding, `_encode`: each distinct sequence is encoded
-once, into an (order rows, occurrence mask) key, and the corpus becomes
-its distinct keys plus each sequence's key. The common matrix, the miner,
-relevance scoring and the baselines' point sets all read it.
+label pairs. All four read the corpus encoding of `sequences`.
 """
 
 from __future__ import annotations
@@ -24,11 +19,9 @@ from typing import Iterable
 
 from .errors import (
     EmptyInput,
-    EmptyJ,
     InvalidMode,
     InvalidThreshold,
     LabelMismatch,
-    LabelNotInUniverse,
     MissingClass,
 )
 from .exact import exact_fraction
@@ -42,45 +35,7 @@ from .graphs import (
     _pack_rows,
     _unpack_rows,
 )
-from .sequences import AnySequence, flattenings
-
-
-def _analysis_table(j_labels: Iterable[str]) -> LabelTable:
-    labels = tuple(j_labels)
-    if not labels:
-        raise EmptyJ("the analysis label set is empty")
-    return LabelTable(labels)
-
-
-def _order_key(s: AnySequence, table: LabelTable) -> tuple[tuple[int, ...], int]:
-    """(order rows, mask of the table labels that occur) of one sequence."""
-    for lab in table:
-        if lab not in s.universe:
-            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
-    pos = s.positions()
-    spans = [(i, min(p), max(p)) for i, lab in enumerate(table) if (p := pos.get(lab))]
-    rows = [0] * len(table)
-    for i, _, last in spans:
-        for j, first, _ in spans:
-            if last < first:  # never for j == i
-                rows[i] |= 1 << j
-    return tuple(rows), sum(1 << i for i, _, _ in spans)
-
-
-def _distinct(items) -> tuple[list, list[int]]:
-    """The distinct items in first-seen order, and each item's slot among them."""
-    index: dict = {}
-    slots = [index.setdefault(x, len(index)) for x in items]
-    return list(index), slots
-
-
-def _encode(seqs: list[AnySequence], table: LabelTable):
-    """(keys, slots): seqs[i] has key keys[slots[i]], keys are the distinct
-    _order_key results in first-seen order, and key k's multiplicity is
-    slots.count(k). Each distinct sequence is checked and encoded once."""
-    uniq, seq_slots = _distinct(seqs)
-    keys, key_slots = _distinct([_order_key(s, table) for s in uniq])
-    return keys, [key_slots[k] for k in seq_slots]
+from .sequences import AnySequence, _analysis_table, _common_rows, _encode, _order_key, flattenings
 
 
 def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
@@ -105,18 +60,6 @@ def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolM
         raise EmptyInput("common matrix needs at least one sequence")
     table = _analysis_table(j_labels)
     return BoolMatrix(table, _common_rows(_encode(seqs, table)[0], len(table)))
-
-
-def _common_rows(keys, m: int) -> tuple[int, ...]:
-    """Common-matrix rows of the sequences with these _encode keys: a pair
-    is kept iff some key witnesses it and no key where both occur vetoes it."""
-    witness = [0] * m
-    veto = [0] * m
-    for rows, occurring in keys:
-        for i in _bit_indices(occurring):
-            witness[i] |= rows[i]
-            veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
-    return tuple(w & ~v for w, v in zip(witness, veto))
 
 
 @dataclass(frozen=True)
@@ -519,7 +462,7 @@ def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTa
             raise ValueError(f"class label must be 0 or 1, got {label!r}")
         if universe is None:
             universe = s.universe
-        elif s.universe != universe:
+        elif s.universe is not universe and s.universe != universe:
             raise LabelMismatch("all episodes must share one universe")
         if label == 1:
             n_win += 1

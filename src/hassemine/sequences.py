@@ -2,7 +2,16 @@
 
 Covers restriction to a label subset, the layered-graph conversion (stg) and
 its inverse (gts), the consistency predicate between a sequence and a wiring
-diagram, and flattenings (linear extensions as path graphs).
+diagram, flattenings (linear extensions as path graphs), and the order
+encoding.
+
+One relation underlies both the per-sequence order matrix and consistency:
+label i is ordered before label j when both occur and every occurrence of
+i comes strictly before every occurrence of j. `_order_key` computes it
+once per sequence, as (order rows, occurrence mask). A corpus has one
+encoding, `_encode`: each distinct sequence is encoded once, and the corpus
+becomes its distinct keys plus each sequence's key. The common matrix, the
+miner, relevance scoring and the baselines' point sets all read it.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import (
+    EmptyJ,
     EmptyRestriction,
     EmptyTerm,
     LabelNotInUniverse,
@@ -106,6 +116,56 @@ class SubsetSequence:
 AnySequence = Union[EventSequence, SubsetSequence]
 
 
+def _analysis_table(j_labels: Iterable[str]) -> LabelTable:
+    labels = tuple(j_labels)
+    if not labels:
+        raise EmptyJ("the analysis label set is empty")
+    return LabelTable(labels)
+
+
+def _order_key(s: AnySequence, table: LabelTable) -> tuple[tuple[int, ...], int]:
+    """(order rows, mask of the table labels that occur) of one sequence."""
+    for lab in table:
+        if lab not in s.universe:
+            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
+    pos = s.positions()
+    spans = [(i, min(p), max(p)) for i, lab in enumerate(table) if (p := pos.get(lab))]
+    rows = [0] * len(table)
+    for i, _, last in spans:
+        for j, first, _ in spans:
+            if last < first:  # never for j == i
+                rows[i] |= 1 << j
+    return tuple(rows), sum(1 << i for i, _, _ in spans)
+
+
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's slot among them."""
+    index: dict = {}
+    slots = [index.setdefault(x, len(index)) for x in items]
+    return list(index), slots
+
+
+def _encode(seqs: list[AnySequence], table: LabelTable):
+    """(keys, slots): seqs[i] has key keys[slots[i]], keys are the distinct
+    _order_key results in first-seen order, and key k's multiplicity is
+    slots.count(k). Each distinct sequence is checked and encoded once."""
+    uniq, seq_slots = _distinct(seqs)
+    keys, key_slots = _distinct([_order_key(s, table) for s in uniq])
+    return keys, [key_slots[k] for k in seq_slots]
+
+
+def _common_rows(keys, m: int) -> tuple[int, ...]:
+    """Common-matrix rows of the sequences with these _encode keys: a pair
+    is kept iff some key witnesses it and no key where both occur vetoes it."""
+    witness = [0] * m
+    veto = [0] * m
+    for rows, occurring in keys:
+        for i in _bit_indices(occurring):
+            witness[i] |= rows[i]
+            veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
+    return tuple(w & ~v for w, v in zip(witness, veto))
+
+
 def as_subset_sequence(s: EventSequence) -> SubsetSequence:
     """Lift a label sequence to the sequence of its singleton subsets."""
     return SubsetSequence(s.universe, tuple(frozenset((e,)) for e in s.events))
@@ -199,21 +259,9 @@ def is_consistent(s: AnySequence, w: Digraph) -> bool:
     For each pair of labels x, y both occurring in s with a path x -> y in w,
     every occurrence of x must precede every occurrence of y.
     """
-    for lab in w.labels:
-        if lab not in s.universe:
-            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
-    pos = s.positions()
+    rows, occ = _order_key(s, w.labels)
     closed = _closure_rows(w.rows)
-    labs = w.labels.labels
-    for u, row in enumerate(closed):
-        pu = pos.get(labs[u])
-        if pu is None:
-            continue
-        for v in _bit_indices(row):
-            pv = pos.get(labs[v])
-            if pv is not None and max(pu) >= min(pv):
-                return False
-    return True
+    return all(closed[u] & occ & ~rows[u] == 0 for u in _bit_indices(occ))
 
 
 def flattenings(g: Digraph) -> list[Digraph]:
@@ -246,3 +294,4 @@ def flattenings(g: Digraph) -> list[Digraph]:
             rows[a] |= 1 << b
         out.append(Digraph(g.labels, tuple(rows)))
     return out
+

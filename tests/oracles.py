@@ -24,8 +24,10 @@ strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
 before the corpus was encoded once per distinct sequence; the sequence
 file parser that decoded, checked and built a sequence for every line,
-repeated or not; and a harness that checks five characterizations of
-sequence/diagram consistency against each other.
+repeated or not; the consistency predicate that compared occurrence
+spans pair by pair before it read the order encoding; and a harness that
+checks five characterizations of sequence/diagram consistency against
+each other.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from hassemine import (
     seq_to_matrix,
 )
 from hassemine.enumeration import enumerate_category
-from hassemine.graphs import _bit_indices, _pack_rows
+from hassemine.graphs import _bit_indices, _closure_rows, _pack_rows
 from hassemine.sequences import (
     EventSequence,
     flattenings,
@@ -676,6 +678,27 @@ def relevance_counts_oracle(episodes):
                 if rows[i] >> j & 1:
                     counts[label][i][j] += 1
     return tuple(tuple(tuple(row) for row in counts[c]) for c in (1, 0))
+
+
+def is_consistent_spans(s, w: Digraph) -> bool:
+    """is_consistent as it was before it read `_order_key`: for each path
+    u -> v of w between labels that both occur in s, the last occurrence
+    of u must come before the first occurrence of v."""
+    for lab in w.labels:
+        if lab not in s.universe:
+            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
+    pos = s.positions()
+    closed = _closure_rows(w.rows)
+    labs = w.labels.labels
+    for u, row in enumerate(closed):
+        pu = pos.get(labs[u])
+        if pu is None:
+            continue
+        for v in _bit_indices(row):
+            pv = pos.get(labs[v])
+            if pv is not None and max(pu) >= min(pv):
+                return False
+    return True
 
 
 def _relation_pairs(g: Digraph) -> frozenset[tuple[str, str]]:

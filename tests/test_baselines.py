@@ -17,7 +17,9 @@ Claims covered:
   merge first at height 0 and equal positive heights fall to the lowest
   (a, b) pair; a negative eps is refused;
 - cut(d, 0) separates distinct points, cut at max height yields one
-  cluster, and threshold semantics never depend on float rounding.
+  cluster, and threshold semantics never depend on float rounding;
+- a cluster member that is not an integer index into the sequences is
+  refused with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -400,3 +402,9 @@ def test_flattening_cluster_common_matrix():
         ],
     )
     assert mats == [expected]
+
+
+@pytest.mark.parametrize("member", [-1, len(TYPE_SEQS), 0.0, "0", None])
+def test_cluster_member_must_index_the_sequences(member):
+    with pytest.raises(ValueError, match=f"cluster member {member!r} is not an index in 0..6"):
+        cluster_common_matrices([[0, 1], [2, member]], TYPE_SEQS, J5)

@@ -9,7 +9,8 @@ Claims covered:
 - every enumerated graph is quasi-skeleton, path matrices are pairwise
   distinct, and reduction-of-closure fixes each graph;
 - has_morphism equals direct relation inclusion (independent oracle);
-- generalization up-sets match brute force;
+- generalization up-sets match brute force, and asking for them leaves
+  the shared catalog as it was;
 - the packed flats are the path matrices, one bit per entry with entry
   (i, j) at bit m*m - 1 - (m*i + j), unpack to their rows, and mask
   containment on them is the morphism relation.
@@ -197,3 +198,11 @@ def test_flats_pack_path_matrices():
     for i, a in enumerate(cat.graphs):
         for j, b in enumerate(cat.graphs):
             assert (cat.flats[j] & ~cat.flats[i] == 0) == has_morphism(a, b)
+
+
+def test_upsets_are_not_kept_on_the_shared_catalog():
+    cat = enumerate_category(_table(3))
+    before = dict(vars(cat))
+    ups = [cat.upset(i) for i in range(len(cat))]
+    assert vars(cat).keys() == before.keys()
+    assert ups == [cat.upset(i) for i in range(len(cat))]

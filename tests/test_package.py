@@ -5,7 +5,9 @@ Claims covered:
   imported from its module on first use;
 - a `simulate` run of the CLI loads neither the mining nor the baseline
   modules, and neither it nor a `mine` run loads the catalog module
-  (`enumeration`);
+  (`enumeration`); a `baseline` run loads neither `mining`, `estimators`
+  nor `enumeration`, as the order encoding lives in `sequences` and the
+  cluster assignment in `baselines`;
 - `from hassemine import *` binds every name in `__all__`, `dir` lists
   them all, and an unknown name raises AttributeError.
 """
@@ -70,6 +72,26 @@ def test_mine_loads_no_enumeration(tmp_path):
     )
     assert "hassemine.mining" in loaded
     assert not loaded & {"hassemine.enumeration", "hassemine.baselines"}
+
+
+def test_baseline_loads_no_mining(tmp_path):
+    from hassemine.cli import main
+
+    episodes = str(tmp_path / "episodes.jsonl")
+    assert main(["simulate", "--version", "2", "--episodes", "8", "--out", episodes]) == 0
+    out = tmp_path / "matrices"
+    argv = ["baseline", "--algo", "hier", "--in", episodes, "--labels", "e1,e2,e5,e6,e11",
+            "--threshold", "2", "--out", str(out)]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from hassemine.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as table:\n"
+        f"    assert main({argv!r}) == 0\n"
+        "assert table.getvalue().startswith('index,cluster')"
+    )
+    assert "hassemine.baselines" in loaded
+    assert not loaded & {"hassemine.mining", "hassemine.estimators", "hassemine.enumeration"}
+    assert (out / "cluster_0.csv").exists()
 
 
 def test_namespace_lists_and_binds_every_public_name():

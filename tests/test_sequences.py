@@ -8,6 +8,9 @@ Claims covered:
   flattening maps into its source graph;
 - consistency matches the worked examples, is monotone under weakening,
   and all five equivalence-harness characterizations agree;
+- consistency read from the order encoding agrees with the span-by-span
+  oracle, errors included, on repeated events, subset sequences, cyclic
+  diagrams and diagram labels outside the universe;
 - an event sequence's hash, computed once at construction, agrees with
   equality, survives dataclasses.replace and pickling into another
   process, and leaves the repr unchanged.
@@ -52,7 +55,11 @@ from hassemine.sequences import (
     stg,
 )
 
-from oracles import check_consistency_equivalences, linear_extensions_bruteforce
+from oracles import (
+    check_consistency_equivalences,
+    is_consistent_spans,
+    linear_extensions_bruteforce,
+)
 
 X8 = LabelTable(tuple("ABCDEFGH"))
 
@@ -244,6 +251,50 @@ def test_consistency_monotone_under_weakening(data):
     s = _evseq(X8, *events[:k])
     if is_consistent(s, w):
         assert is_consistent(s, weaker)
+
+
+@st.composite
+def sequences_and_diagrams(draw):
+    """A sequence (events with repeats, or subsets) over a universe of 1..6
+    labels, and a diagram on labels drawn from the universe or, sometimes,
+    from outside it; its arrows are arbitrary, so cycles and loops occur."""
+    labels = tuple("ABCDEF")[: draw(st.integers(1, 6))]
+    universe = LabelTable(labels)
+    if draw(st.booleans()):
+        events = draw(st.lists(st.sampled_from(labels), max_size=9))
+        s = EventSequence(universe, tuple(events))
+    else:
+        terms = draw(st.lists(st.frozensets(st.sampled_from(labels)), max_size=5))
+        s = SubsetSequence(universe, tuple(terms))
+    pool = labels + ("Y", "Z") if draw(st.integers(0, 4)) == 0 else labels
+    w_labels = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+    k = len(w_labels)
+    rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k))
+    return s, Digraph(LabelTable(tuple(w_labels)), tuple(rows))
+
+
+def _outcome(predicate, s, w):
+    try:
+        return predicate(s, w)
+    except LabelNotInUniverse as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(sequences_and_diagrams())
+def test_consistency_matches_span_oracle(case):
+    s, w = case
+    assert _outcome(is_consistent, s, w) == _outcome(is_consistent_spans, s, w)
+
+
+def test_cyclic_diagram_is_inconsistent_where_its_cycle_occurs():
+    cyc = Digraph.from_arrows(LabelTable(("A", "B", "C")), [("A", "B"), ("B", "A")])
+    assert not is_consistent(_evseq(X8, "A"), cyc)
+    assert not is_consistent(_subseq(X8, "D", "B"), cyc)
+    assert is_consistent(_evseq(X8, "C", "D", "C"), cyc)
+    loop = Digraph(LabelTable(("C",)), (1,))
+    assert not is_consistent(_evseq(X8, "C"), loop)
+    assert is_consistent(_evseq(X8, "A"), loop)
 
 
 def test_equivalence_harness_exhaustive_small():
