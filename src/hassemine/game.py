@@ -6,8 +6,9 @@ the rock blocking the door chamber and open the door with the key.
 Version 2 adds a coin chamber behind a second rock, so the single-use
 explosive forces a choice between winning by door or by coin.
 
-An episode is recorded as a raw move log and reduced to an event
-sequence over e1..e10 (version 1) or e1..e12 (version 2):
+An episode logs only the moves that are events (a plain step or a bump
+into a wall leaves no entry) and is reduced to an event sequence over
+e1..e10 (version 1) or e1..e12 (version 2):
 
     e1  collect key          e7   failed explosive use (bump rock empty-handed)
     e2  collect explosive    e8   failed key use (bump door without key)
@@ -58,7 +59,6 @@ V2_GRID = (
 
 # Fixed scan order keeps breadth-first paths deterministic.
 DIRECTIONS = ((0, -1), (0, 1), (-1, 0), (1, 0))
-_DIRECTION_NAMES = {(0, -1): "north", (0, 1): "south", (-1, 0): "west", (1, 0): "east"}
 
 _EVENT_CODES = {
     ("collect", "key"): "e1",
@@ -129,6 +129,10 @@ class GameConfig:
     @classmethod
     def from_grid(cls, version, rows, step_cap, seed):
         """Parse an ASCII map (see the legend above the presets)."""
+        if not rows:
+            raise ValueError("empty grid: no rows")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged grid: rows differ in length")
         walls, rocks = set(), set()
         features = {}
         for y, row in enumerate(rows):
@@ -148,7 +152,7 @@ class GameConfig:
             raise ValueError(f"grid lacks markers {sorted(missing)}")
         return cls(
             version=version,
-            width=max(len(row) for row in rows),
+            width=len(rows[0]),
             height=len(rows),
             walls=frozenset(walls),
             rocks=frozenset(rocks),
@@ -198,78 +202,72 @@ def _derive_seed(seed, tag) -> int:
 
 
 class _Game:
-    """Mutable game state; records the raw move log."""
+    """Mutable game state; logs the moves that are events."""
 
     def __init__(self, config: GameConfig):
         self.config = config
         self.pos = config.start
         self.rocks = set(config.rocks)
-        self.has_key = False
-        self.has_explosive = False
-        self.key_present = True
-        self.explosive_present = True
-        self.coin_present = config.coin is not None
+        # the items still on the map, by cell; version 1's coin cell is
+        # None, which no cell equals
+        self.items = {config.key: "key", config.explosive: "explosive", config.coin: "coin"}
+        self.carried = set()
         self.outcome = None
         self.steps = 0
         self.moves: list[tuple[str, str]] = []
 
     def step(self, direction) -> None:
-        """Attempt one move; bumps resolve to item use or failure."""
+        """Attempt one move; bumps resolve to item use or failure.
+
+        Rocks and the door lie inside the grid and off the walls (see
+        GameConfig), so they are tested before the bounds and the walls.
+        """
         self.steps += 1
         config = self.config
         target = (self.pos[0] + direction[0], self.pos[1] + direction[1])
-        if (
-            not (0 <= target[0] < config.width and 0 <= target[1] < config.height)
-            or target in config.walls
-        ):
-            self.moves.append(("blocked", "wall"))
-            return
         if target in self.rocks:
-            if self.has_explosive:
+            if "explosive" in self.carried:
                 self.moves.append(("use_explosive", "rock"))
                 self.rocks.discard(target)
-                self.has_explosive = False
+                self.carried.discard("explosive")
             else:
                 self.moves.append(("fail_use", "explosive"))
             return
         if target == config.door:
-            if self.has_key:
+            if "key" in self.carried:
                 self.moves.append(("use_key", "door"))
                 self.outcome = "door"
             else:
                 self.moves.append(("fail_use", "key"))
             return
+        if (
+            not (0 <= target[0] < config.width and 0 <= target[1] < config.height)
+            or target in config.walls
+        ):
+            return
         self.pos = target
-        self.moves.append(("move", _DIRECTION_NAMES[direction]))
-        if self.key_present and target == config.key:
-            self.key_present = False
-            self.has_key = True
-            self.moves.append(("collect", "key"))
-        elif self.explosive_present and target == config.explosive:
-            self.explosive_present = False
-            self.has_explosive = True
-            self.moves.append(("collect", "explosive"))
-        elif self.coin_present and target == config.coin:
-            self.coin_present = False
-            self.moves.append(("collect", "coin"))
-            self.outcome = "coin"
+        item = self.items.pop(target, None)
+        if item is not None:
+            self.carried.add(item)
+            self.moves.append(("collect", item))
+            if item == "coin":
+                self.outcome = "coin"
 
     def finish(self) -> None:
         """Append end-of-episode markers; the outcome marker goes last."""
-        if self.key_present:
-            self.moves.append(("end", "key_missing"))
-        if self.explosive_present:
-            self.moves.append(("end", "explosive_missing"))
-        if self.outcome == "door":
-            self.moves.append(("end", "win_door"))
-        elif self.outcome == "coin":
-            self.moves.append(("end", "win_coin"))
-        else:
-            self.moves.append(("end", "lose"))
+        left = self.items.values()
+        for item in ("key", "explosive"):
+            if item in left:
+                self.moves.append(("end", f"{item}_missing"))
+        self.moves.append(("end", f"win_{self.outcome}" if self.outcome else "lose"))
 
 
 def extract_events(moves, version) -> EventSequence:
-    """Reduce a raw move log to its event sequence; non-events are dropped."""
+    """Reduce a move log to its event sequence.
+
+    A full raw log is accepted too: moves that are not events, such as
+    ("move", "north") or ("blocked", "wall"), are dropped.
+    """
     if version == 1:
         universe = V1_EVENTS
     elif version == 2:
@@ -284,26 +282,16 @@ def extract_events(moves, version) -> EventSequence:
     return EventSequence(universe, tuple(labels))
 
 
-def _rock_near(config, target):
-    """The rock guarding `target`: nearest by Manhattan distance."""
+def _spot(config, name):
+    """A waypoint's cell: the config field `name`, or for "rock-<field>"
+    the rock nearest that field's cell by Manhattan distance."""
+    if not name.startswith("rock-"):
+        return getattr(config, name)
+    target = getattr(config, name[len("rock-"):])
     return min(
         config.rocks,
         key=lambda r: (abs(r[0] - target[0]) + abs(r[1] - target[1]), r),
     )
-
-
-def _waypoints(config, route_name):
-    spots = {
-        "key": config.key,
-        "explosive": config.explosive,
-        "door": config.door,
-        "rock-door": _rock_near(config, config.door),
-    }
-    if config.coin is not None:
-        spots["coin"] = config.coin
-        spots["rock-coin"] = _rock_near(config, config.coin)
-    routes = _V2_ROUTES if config.version == 2 else _V1_ROUTES
-    return tuple(spots[name] for name in routes[route_name])
 
 
 def _bfs_step(game, target):
@@ -356,18 +344,24 @@ def _run_random(game, rng) -> None:
 
 
 def _route_plan(config, policy):
-    """Resolve a policy name to a route rotation; None means random play."""
+    """Resolve a policy name to a rotation of (route, waypoints) pairs;
+    None means random play."""
     if policy == "random":
         return None
     routes = _V2_ROUTES if config.version == 2 else _V1_ROUTES
-    if policy == "scripted-mixed":
-        return tuple(sorted(routes, key=lambda name: (name.split("-")[0] == "coin", name)))
     prefix = "scripted-"
-    if policy.startswith(prefix) and policy[len(prefix):] in routes:
-        return (policy[len(prefix):],)
-    if policy.startswith(prefix) and policy[len(prefix):] in _V2_ROUTES:
-        raise InvalidPolicy(f"route {policy[len(prefix):]!r} needs game version 2")
-    raise InvalidPolicy(f"unknown policy {policy!r}")
+    route = policy[len(prefix):] if policy.startswith(prefix) else None
+    if policy == "scripted-mixed":
+        names = sorted(routes, key=lambda name: (name.split("-")[0] == "coin", name))
+    elif route in routes:
+        names = (route,)
+    elif route in _V2_ROUTES:
+        raise InvalidPolicy(f"route {route!r} needs game version 2")
+    else:
+        raise InvalidPolicy(f"unknown policy {policy!r}")
+    return tuple(
+        (name, tuple(_spot(config, spot) for spot in routes[name])) for name in names
+    )
 
 
 def simulate(config: GameConfig, n_episodes: int, policy: str) -> list[Episode]:
@@ -382,15 +376,14 @@ def simulate(config: GameConfig, n_episodes: int, policy: str) -> list[Episode]:
     plan = _route_plan(config, policy)
     episodes = []
     for index in range(n_episodes):
-        rng = random.Random(_derive_seed(config.seed, index))
         game = _Game(config)
         if plan is None:
             policy_id = "random"
-            _run_random(game, rng)
+            _run_random(game, random.Random(_derive_seed(config.seed, index)))
         else:
-            route = plan[index % len(plan)]
+            route, waypoints = plan[index % len(plan)]
             policy_id = f"scripted-{route}"
-            _run_scripted(game, _waypoints(config, route))
+            _run_scripted(game, waypoints)
         game.finish()
         episodes.append(
             Episode(

@@ -83,10 +83,11 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     """Parse sequence-file text; a `universe` of strings overrides any header.
 
     A malformed line raises ValueError naming its 1-based line number:
-    invalid JSON, a record that is not an object, a second header, a header
-    or events value that is not a list of strings, a missing events field,
-    a label other than the integers 0 and 1 (true and 1.0 included), or an
-    event outside the universe.
+    invalid JSON (nesting too deep to decode and integers too long to
+    convert included), a record that is not an object, a second header, a
+    header or events value that is not a list of strings, a missing events
+    field, a label other than the integers 0 and 1 (true and 1.0
+    included), or an event outside the universe.
 
     Recorded play repeats itself, so each distinct record line is decoded
     and checked once. A later copy of a line whose fields other than
@@ -117,6 +118,9 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
             raise ValueError(
                 f"line {number}: invalid JSON at column {exc.colno}: {exc.msg}"
             ) from None
+        except (RecursionError, ValueError) as exc:
+            # nesting too deep for the decoder, or an integer too long to convert
+            raise ValueError(f"line {number}: {exc}") from None
         if not isinstance(record, dict):
             raise ValueError(f"line {number}: expected a JSON object")
         if "universe" in record and "events" not in record:

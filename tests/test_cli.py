@@ -22,8 +22,9 @@ Claims covered:
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
-  do malformed sequence files, bytes that are not UTF-8 included, with
-  the file name and the offending line in the message.
+  do malformed sequence files, bytes that are not UTF-8 and nesting too
+  deep to decode included, with the file name and the offending line in
+  the message.
 """
 
 from __future__ import annotations
@@ -491,6 +492,14 @@ def test_usage_errors(capsys):
 def test_malformed_input_exits_2_with_line(tmp_path, capsys, record):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"universe": ["a", "b", "c"]}\n' + record + "\n")
+    code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: line 2: ")
+
+
+def test_deeply_nested_input_exits_2_with_line(tmp_path, capsys):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"universe": ["a", "b"]}\n' + "[" * 100000 + "]" * 100000 + "\n")
     code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: line 2: ")

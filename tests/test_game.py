@@ -12,17 +12,22 @@ Claims covered:
   consistent with one of the two winning-strategy graphs;
 - simulate is deterministic and episode streams are independent of the
   episode count;
-- extract_events maps raw moves to event codes and drops non-events;
+- extract_events maps raw moves to event codes and drops non-events, and
+  a game logs no move that it would drop;
 - corrupt mutates exactly ceil(fraction * n) episodes (one swap, delete,
   or insert each), preserves the rest bit for bit, and is seeded;
 - relevance scores from a simulated v1 mix assign infinite scores to the
-  win-prerequisite pairs.
+  win-prerequisite pairs;
+- every episode of both versions under every policy, several step caps
+  and seeds, with and without corruption, is pinned by one digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -41,6 +46,9 @@ from hassemine.game import (
     GameConfig,
     V1_EVENTS,
     V2_EVENTS,
+    _EVENT_CODES,
+    _Game,
+    _run_random,
     corrupt,
     corrupt_sequences,
     extract_events,
@@ -196,6 +204,15 @@ def test_extract_events_worked_example():
         extract_events(moves, 3)
 
 
+def test_game_logs_only_events():
+    for cfg in (v1_config(), v2_config()):
+        for seed in range(40):
+            game = _Game(cfg)
+            _run_random(game, random.Random(seed))
+            game.finish()
+            assert all(move in _EVENT_CODES for move in game.moves)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GameConfig.from_grid(1, ("###", "#K#", "###"), 10, 0)
@@ -203,6 +220,11 @@ def test_config_validation():
         GameConfig.from_grid(1, ("####", "#KK#", "####"), 10, 0)
     with pytest.raises(ValueError):
         GameConfig.from_grid(1, ("####", "#K?#", "####"), 10, 0)
+    # a short row's missing cells are not floor, and a grid has rows
+    with pytest.raises(ValueError, match="ragged grid"):
+        GameConfig.from_grid(1, ("######", "#.#.K#", "#DR.S", "#.#.E#", "######"), 10, 0)
+    with pytest.raises(ValueError, match="empty grid"):
+        GameConfig.from_grid(1, (), 10, 0)
     # coin/rock counts are tied to the version
     with pytest.raises(ValueError):
         dataclasses.replace(v1_config(), coin=(3, 1))
@@ -327,3 +349,30 @@ def test_relevance_on_simulated_v1_mix():
         assert table.score(a, b) == math.inf, (a, b)
     # a pair unrelated to winning stays finite: losers interleave it freely
     assert table.score("e7", "e10") != math.inf
+
+
+def test_simulator_output_digest():
+    # Episodes of both versions under every policy, at step caps 1, 5 and
+    # 12 plus the default, on seeds 0-2, each as played and half corrupted.
+    # The digest was taken from the simulator whose log also held plain
+    # steps and wall bumps.
+    policies = {
+        1: ("random", "scripted-mixed", "scripted-door-1", "scripted-door-2", "scripted-door-3"),
+        2: (
+            "random",
+            "scripted-mixed",
+            *(f"scripted-door-{i}" for i in (1, 2, 3)),
+            *(f"scripted-coin-{i}" for i in (1, 2, 3, 4)),
+        ),
+    }
+    digest = hashlib.sha256()
+    for version, make in ((1, v1_config), (2, v2_config)):
+        for step_cap in (1, 5, 12, None):
+            for seed in range(3):
+                cfg = make(seed) if step_cap is None else make(seed, step_cap)
+                for policy in policies[version]:
+                    episodes = simulate(cfg, 24 if policy == "random" else 8, policy)
+                    for ep in episodes + corrupt(episodes, 0.5, seed):
+                        record = (ep.events.events, ep.label, ep.win_route, ep.seed, ep.policy)
+                        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "e5e93fe591d308b69dfe0c3b0264e85e7c0bd1acc6c6b8d7bf9619c83903d0f9"

@@ -8,8 +8,10 @@ Claims covered:
 - files with \n, \r\n or \r line ends load alike, with the same line
   numbers;
 - each malformed record fails with a ValueError naming its file line:
-  invalid JSON, events that are a string or hold a non-string, labels
-  given as true or 1.0, a header universe that is not a list of strings;
+  invalid JSON (nesting too deep to decode and an integer too long to
+  convert included), events that are a string or hold a non-string,
+  labels given as true or 1.0, a header universe that is not a list of
+  strings;
 - an explicit universe that is not a list of strings is rejected too;
 - arbitrary JSON lines either parse or fail with an error naming a line,
   except the file-level one for a missing universe;
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -123,6 +126,14 @@ MALFORMED_RECORDS = {
     "float label": '{"events": ["a"], "label": 1.0}',
     "json syntax": '{"events": ["a"],, "label": 1}',
     "unknown event": '{"events": ["z"]}',
+    "deep nesting": '{"events": ' + "[" * 100000 + "]" * 100000 + "}",
+    "long integer": pytest.param(
+        '{"events": ["a"], "label": ' + "1" * 5000 + "}",
+        marks=pytest.mark.skipif(
+            getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+            reason="integer string conversion is not limited",
+        ),
+    ),
 }
 
 
