@@ -4,15 +4,36 @@ Thresholds, radii and fractions arrive as ints, Fractions, decimal strings
 or floats. A float is read through its shortest repr, so 0.1 becomes 1/10
 rather than the nearest binary fraction, and comparisons against integer
 counts are never decided by rounding.
+
+A string is read only if its numerator and denominator, as written, fit
+MAX_DIGITS decimal digits: Fraction expands "1e-10000000" digit by digit,
+which takes seconds, and the result could not be printed anyway.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+
+#: CPython's default limit on the digits of an int read from or written
+#: to a decimal string (sys.set_int_max_str_digits).
+MAX_DIGITS = 4300
 
 
 def exact_fraction(value) -> Fraction:
-    """value as a Fraction; raises what Fraction raises on non-numbers."""
+    """value as a Fraction; raises what Fraction raises on non-numbers,
+    and ValueError on a string past MAX_DIGITS (see the module docstring).
+
+    A string without "/" is sized through Decimal before it is expanded;
+    "p/q" holds two plain integers, which int() already bounds.
+    """
     if isinstance(value, float):
         return Fraction(str(value))
+    if isinstance(value, str) and "/" not in value:
+        try:
+            _, digits, exp = Decimal(value).as_tuple()
+        except InvalidOperation:  # not a number, or an exponent past Decimal's range
+            raise ValueError(f"not a number within {MAX_DIGITS} digits: {value[:40]!r}") from None
+        if isinstance(exp, int) and max(len(digits) + max(exp, 0), 1 - min(exp, 0)) > MAX_DIGITS:
+            raise ValueError(f"more than {MAX_DIGITS} digits: {value[:40]!r}")
     return Fraction(value)

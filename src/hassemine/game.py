@@ -18,6 +18,9 @@ e1..e10 (version 1) or e1..e12 (version 2):
     e6  open door            e12  win by coin (version 2)
 
 e3/e4 and the outcome marker are appended at episode end, outcome last.
+Random play draws a seeded stream per episode. Scripted play draws no
+randomness, so simulate() plays each route once per call and repeats its
+episode wherever the rotation returns to that route.
 corrupt() mutates a seeded fraction of recorded episodes (one swap,
 delete, or insert each) for robustness experiments.
 """
@@ -202,10 +205,15 @@ def _derive_seed(seed, tag) -> int:
 
 
 class _Game:
-    """Mutable game state; logs the moves that are events."""
+    """Mutable game state; logs the moves that are events.
 
-    def __init__(self, config: GameConfig):
+    `cells` is the set of open cells: every cell in bounds and off the
+    walls, rocks, items and the door included.
+    """
+
+    def __init__(self, config: GameConfig, cells):
         self.config = config
+        self.cells = cells
         self.pos = config.start
         self.rocks = set(config.rocks)
         # the items still on the map, by cell; version 1's coin cell is
@@ -217,14 +225,11 @@ class _Game:
         self.moves: list[tuple[str, str]] = []
 
     def step(self, direction) -> None:
-        """Attempt one move; bumps resolve to item use or failure.
-
-        Rocks and the door lie inside the grid and off the walls (see
-        GameConfig), so they are tested before the bounds and the walls.
-        """
+        """Attempt one move; bumps resolve to item use or failure."""
         self.steps += 1
-        config = self.config
         target = (self.pos[0] + direction[0], self.pos[1] + direction[1])
+        if target not in self.cells:
+            return
         if target in self.rocks:
             if "explosive" in self.carried:
                 self.moves.append(("use_explosive", "rock"))
@@ -233,17 +238,12 @@ class _Game:
             else:
                 self.moves.append(("fail_use", "explosive"))
             return
-        if target == config.door:
+        if target == self.config.door:
             if "key" in self.carried:
                 self.moves.append(("use_key", "door"))
                 self.outcome = "door"
             else:
                 self.moves.append(("fail_use", "key"))
-            return
-        if (
-            not (0 <= target[0] < config.width and 0 <= target[1] < config.height)
-            or target in config.walls
-        ):
             return
         self.pos = target
         item = self.items.pop(target, None)
@@ -295,16 +295,13 @@ def _spot(config, name):
 
 
 def _bfs_step(game, target):
-    """First step of a shortest path to `target`.
+    """First step of a shortest path to `target` through the open cells,
+    `game.cells` (every cell in bounds and off the walls).
 
     Rock cells count as passable (the walker blasts through them);
     the door is passable only as the target itself.
     """
-    config = game.config
-    start = game.pos
-    blocked = set(config.walls)
-    if target != config.door:
-        blocked.add(config.door)
+    start, cells, door = game.pos, game.cells, game.config.door
     prev = {start: None}
     queue = deque([start])
     while queue:
@@ -315,27 +312,17 @@ def _bfs_step(game, target):
             return (cell[0] - start[0], cell[1] - start[1])
         for dx, dy in DIRECTIONS:
             nxt = (cell[0] + dx, cell[1] + dy)
-            if (
-                0 <= nxt[0] < config.width
-                and 0 <= nxt[1] < config.height
-                and nxt not in blocked
-                and nxt not in prev
-            ):
+            if nxt in cells and nxt not in prev and (nxt != door or nxt == target):
                 prev[nxt] = cell
                 queue.append(nxt)
     raise ValueError(f"waypoint {target} unreachable from {start}")
 
 
 def _run_scripted(game, waypoints) -> None:
+    # once the game has an outcome, no later waypoint is walked to
     for target in waypoints:
-        while (
-            game.outcome is None
-            and game.pos != target
-            and game.steps < game.config.step_cap
-        ):
+        while game.outcome is None and game.pos != target and game.steps < game.config.step_cap:
             game.step(_bfs_step(game, target))
-        if game.outcome is not None:
-            break
 
 
 def _run_random(game, rng) -> None:
@@ -364,37 +351,41 @@ def _route_plan(config, policy):
     )
 
 
+def _play(config, cells, policy_id, run, arg) -> Episode:
+    """One game on the open cells `cells`, driven by run(game, arg)."""
+    game = _Game(config, cells)
+    run(game, arg)
+    game.finish()
+    return Episode(
+        events=extract_events(game.moves, config.version),
+        label=1 if game.outcome else 0,
+        win_route=game.outcome or "none",
+        seed=config.seed,
+        policy=policy_id,
+    )
+
+
 def simulate(config: GameConfig, n_episodes: int, policy: str) -> list[Episode]:
     """Play `n_episodes` under `policy` and return their event records.
 
-    Deterministic given (config, policy): episode i draws from an RNG
-    stream derived from (config.seed, i), so episodes are independent of
-    n_episodes and of generation order.
+    Deterministic given (config, policy): random episode i draws from an
+    RNG stream derived from (config.seed, i), so episodes are independent
+    of n_episodes and of generation order. Scripted play draws no
+    randomness, so each route of the rotation is played once per call and
+    its (frozen) episode repeats wherever the rotation returns to it.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     plan = _route_plan(config, policy)
-    episodes = []
-    for index in range(n_episodes):
-        game = _Game(config)
-        if plan is None:
-            policy_id = "random"
-            _run_random(game, random.Random(_derive_seed(config.seed, index)))
-        else:
-            route, waypoints = plan[index % len(plan)]
-            policy_id = f"scripted-{route}"
-            _run_scripted(game, waypoints)
-        game.finish()
-        episodes.append(
-            Episode(
-                events=extract_events(game.moves, config.version),
-                label=1 if game.outcome else 0,
-                win_route=game.outcome or "none",
-                seed=config.seed,
-                policy=policy_id,
-            )
-        )
-    return episodes
+    cells = {(x, y) for x in range(config.width) for y in range(config.height)} - config.walls
+    if plan is None:
+        rngs = (random.Random(_derive_seed(config.seed, i)) for i in range(n_episodes))
+        return [_play(config, cells, "random", _run_random, rng) for rng in rngs]
+    played = [
+        _play(config, cells, f"scripted-{route}", _run_scripted, waypoints)
+        for route, waypoints in plan[:n_episodes]
+    ]
+    return [played[i % len(played)] for i in range(n_episodes)]
 
 
 def _apply_op(events, op, rng, table):

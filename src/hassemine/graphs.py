@@ -9,6 +9,7 @@ m <= 64 range this package supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import CyclicInput, TooManyLabels, UnknownLabel
@@ -59,13 +60,20 @@ class LabelTable:
 
 
 def _coerce_rows(rows: Iterable[int], m: int) -> tuple[int, ...]:
-    out = tuple(int(r) for r in rows)
-    if len(out) != m:
-        raise ValueError(f"expected {m} rows, got {len(out)}")
-    for r in out:
+    """rows as a tuple of m ints, each fitting m columns; a row that is
+    not an integer (2.7, "2", None) is refused, not truncated."""
+    out = []
+    for r in rows:
+        try:
+            r = index(r)
+        except TypeError:
+            raise ValueError(f"row {r!r} is not an integer") from None
         if r < 0 or r >> m:
             raise ValueError(f"row {r:#x} does not fit {m} columns")
-    return out
+        out.append(r)
+    if len(out) != m:
+        raise ValueError(f"expected {m} rows, got {len(out)}")
+    return tuple(out)
 
 
 def _rows_from_entries(entries, m: int) -> tuple[int, ...]:

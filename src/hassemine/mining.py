@@ -429,22 +429,14 @@ class RelevanceTable:
         Infinite scores come first, then descending finite scores; ties fall
         back to label-table position order.
         """
-        entries = []
         labs = self.labels.labels
-        for i in range(len(labs)):
-            for j in range(len(labs)):
-                if i == j:
-                    continue
-                score = self.score(labs[i], labs[j])
-                rank = (0, Fraction(0)) if score == math.inf else (1, -score)
-                entries.append(
-                    (
-                        (rank, i, j),
-                        (labs[i], labs[j], score, self.win_counts[i][j], self.lose_counts[i][j]),
-                    )
-                )
-        entries.sort(key=lambda kv: kv[0])
-        return [kv[1] for kv in entries]
+        rows = [
+            (a, b, self.score(a, b), self.win_counts[i][j], self.lose_counts[i][j])
+            for i, a in enumerate(labs) for j, b in enumerate(labs) if i != j
+        ]
+        # built in position order; the sort is stable, so ties keep it
+        rows.sort(key=lambda row: (0, 0) if row[2] == math.inf else (1, -row[2]))
+        return rows
 
 
 def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTable:

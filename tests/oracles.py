@@ -22,7 +22,9 @@ search (prefix-preserving closure extension) that found the groups
 before the fold over the column masks; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
-before the corpus was encoded once per distinct sequence; the sequence
+before the corpus was encoded once per distinct sequence; the relevance
+row order that keyed each row by its rank and label positions before one
+stable sort on the rank; the sequence
 file parser that decoded, checked and built a sequence for every line,
 repeated or not; the consistency predicate that compared occurrence
 spans pair by pair before it read the order encoding; and a harness that
@@ -33,6 +35,7 @@ each other.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
@@ -678,6 +681,28 @@ def relevance_counts_oracle(episodes):
                 if rows[i] >> j & 1:
                     counts[label][i][j] += 1
     return tuple(tuple(tuple(row) for row in counts[c]) for c in (1, 0))
+
+
+def relevance_rows_ranked(table):
+    """RelevanceTable.rows as it was before it sorted on the rank alone:
+    each row keyed by (rank, i, j), with the label positions breaking
+    ties."""
+    entries = []
+    labs = table.labels.labels
+    for i in range(len(labs)):
+        for j in range(len(labs)):
+            if i == j:
+                continue
+            score = table.score(labs[i], labs[j])
+            rank = (0, Fraction(0)) if score == math.inf else (1, -score)
+            entries.append(
+                (
+                    (rank, i, j),
+                    (labs[i], labs[j], score, table.win_counts[i][j], table.lose_counts[i][j]),
+                )
+            )
+    entries.sort(key=lambda kv: kv[0])
+    return [kv[1] for kv in entries]
 
 
 def is_consistent_spans(s, w: Digraph) -> bool:

@@ -18,7 +18,8 @@ Claims covered:
   label on every record;
 - the numeric options (--t, --eps, --threshold, --fraction) are read
   exactly, not through float, and not-a-number, infinite or non-numeric
-  text exits 2 naming the option;
+  text, or a number past 4300 digits, exits 2 naming the option, in
+  under a second;
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, and each algorithm demands its own parameter;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
@@ -34,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -463,8 +465,11 @@ def test_numeric_options_are_read_exactly(tmp_path, capsys):
         ((*baseline, "--algo", "dbscan"), "--eps"),
         ((*baseline, "--algo", "hier"), "--threshold"),
     ):
-        for bad in ("nan", "inf", "-inf", "ten", ""):
+        for bad in ("nan", "inf", "-inf", "ten", "", "1e10000000", "1e-10000000"):
+            started = time.perf_counter()
             code, out, err = run_cli(capsys, *argv, f"{option}={bad}")
+            # a huge exponent is refused before it is expanded
+            assert time.perf_counter() - started < 1, (option, bad)
             assert code == 2 and out == "", (option, bad)
             assert f"argument {option}: invalid number value" in err
             assert "Traceback" not in err

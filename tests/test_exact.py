@@ -5,7 +5,9 @@ Claims covered:
   as Fraction reads them;
 - the mining threshold, DBSCAN radius, dendrogram cut and corruption
   fraction all read floats that way, so a float never tips a boundary;
-- each caller keeps its own error type for values that are not numbers.
+- each caller keeps its own error type for values that are not numbers;
+- a string whose numerator or denominator needs more than 4300 digits is
+  refused at once, before Fraction expands it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ def test_exact_fraction_values():
         exact_fraction("ten")
     with pytest.raises(TypeError):
         exact_fraction(None)
+
+
+def test_digit_bound_on_strings():
+    assert exact_fraction("1e4299") == 10**4299
+    assert exact_fraction("1e-4299") == Fraction(1, 10**4299)
+    assert exact_fraction("12e-4299") == Fraction(12, 10**4299)
+    assert exact_fraction(" 1_0e2 ") == 1000
+    for text in ("1e4300", "1e-4300", "1e-10000000", "0e10000000", "1e" + "9" * 30):
+        with pytest.raises(ValueError):
+            exact_fraction(text)
+    # only strings are sized: other values keep the plain Fraction path
+    assert exact_fraction(10**4400) == 10**4400
+    assert exact_fraction(Fraction(1, 10**4400)) == Fraction(1, 10**4400)
 
 
 def test_callers_read_floats_exactly():

@@ -14,6 +14,10 @@ Claims covered:
   episode count;
 - extract_events maps raw moves to event codes and drops non-events, and
   a game logs no move that it would drop;
+- scripted play builds one game per route of the rotation and repeats its
+  episode, random play one game per episode;
+- a grid with no wall border plays as before, pinned by its own digest,
+  and the breadth-first walker never paths through the door;
 - corrupt mutates exactly ceil(fraction * n) episodes (one swap, delete,
   or insert each), preserves the rest bit for bit, and is seeded;
 - relevance scores from a simulated v1 mix assign infinite scores to the
@@ -204,13 +208,66 @@ def test_extract_events_worked_example():
         extract_events(moves, 3)
 
 
+def _open_cells(cfg):
+    return {(x, y) for x in range(cfg.width) for y in range(cfg.height)} - cfg.walls
+
+
 def test_game_logs_only_events():
     for cfg in (v1_config(), v2_config()):
         for seed in range(40):
-            game = _Game(cfg)
+            game = _Game(cfg, _open_cells(cfg))
             _run_random(game, random.Random(seed))
             game.finish()
             assert all(move in _EVENT_CODES for move in game.moves)
+
+
+def test_scripted_routes_are_played_once(monkeypatch):
+    # scripted play draws no randomness: one game per route of the
+    # rotation, its episode repeated; random play is one game per episode
+    built = []
+
+    class CountingGame(_Game):
+        def __init__(self, config, cells):
+            built.append(config)
+            super().__init__(config, cells)
+
+    monkeypatch.setattr("hassemine.game._Game", CountingGame)
+    for cfg, n, policy, games in (
+        (v2_config(), 700, "scripted-mixed", 7),
+        (v1_config(), 2, "scripted-mixed", 2),
+        (v1_config(), 50, "random", 50),
+    ):
+        built.clear()
+        episodes = simulate(cfg, n, policy)
+        assert len(episodes) == n and len(built) == games, policy
+    mixed = simulate(v2_config(), 700, "scripted-mixed")
+    assert all(ep is mixed[i % 7] for i, ep in enumerate(mixed))
+
+
+def test_open_border_grid_digest():
+    # No wall border: the open-cell set alone keeps the player and the
+    # breadth-first walker inside the grid. The digest was taken from the
+    # simulator that tested the bounds and the walls on every move.
+    cfg = GameConfig.from_grid(1, (".K.E", "DRS.", "...."), 40, 0)
+    episodes = simulate(cfg, 300, "random") + simulate(cfg, 6, "scripted-mixed")
+    records = [(ep.events.events, ep.label, ep.policy) for ep in episodes]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "f500b5db683f67ef698b71b100a920b6dd87de7ea93f2a2170ad2b4f77268948"
+    )
+
+
+def test_walker_never_paths_through_the_door():
+    # Through the door the key is 4 steps from the start, around it 6. A
+    # walker that took the door as a passage would head for the rock from
+    # the first step and bump it empty-handed until the step cap.
+    cfg = GameConfig.from_grid(1, ("......", "KDR.SE"), 40, 0)
+    assert [ep.events.events for ep in simulate(cfg, 3, "scripted-mixed")] == [
+        # door-1 reaches the key round the top; its path on to the
+        # explosive crosses the rock, which it bumps until the cap
+        ("e1",) + ("e7",) * 31 + ("e4", "e10"),
+        ("e2", "e1", "e5", "e6", "e9"),
+        ("e2", "e5", "e1", "e6", "e9"),
+    ]
 
 
 def test_config_validation():

@@ -208,6 +208,12 @@ def test_bad_matrix_entries_rejected():
         BoolMatrix.from_entries(LabelTable(("x", "y")), [[0, 2], [0, 0]])
     with pytest.raises(ValueError):
         BoolMatrix.from_entries(LabelTable(("x", "y")), [[0, 1, 0], [0, 0, 0]])
+    # a row that is not an integer is refused, not truncated to one
+    for cls in (Digraph, BoolMatrix):
+        for rows in ((1.5, 0), ("1", 0), (None, 0)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                cls(LabelTable(("x", "y")), rows)
+        assert cls(LabelTable(("x", "y")), (True, 0)).rows == (1, 0)
 
 
 def test_duplicate_labels_rejected():

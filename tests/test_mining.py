@@ -31,7 +31,8 @@ Claims covered:
 - the combination search stops at the number of groups and at the number
   of distinct sequence matrices, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
-  witness, invert under class swap, and list rows most-relevant-first.
+  witness, invert under class swap, and list rows most-relevant-first,
+  ties in label-position order as the rank-keyed sort oracle lists them.
 """
 
 from __future__ import annotations
@@ -1016,6 +1017,29 @@ def test_relevance_rows_ordering():
     ]
     assert rows[4][2] == 2
     assert rows[5][2] == 0
+
+
+def test_relevance_rows_match_ranked_oracle():
+    # small counts make tied finite scores and tied infinite ones common;
+    # the stable sort must keep position order within each tie
+    rng = random.Random(0)
+    seen_finite_tie = seen_inf_tie = False
+    for _ in range(200):
+        m = rng.randint(2, 5)
+        counts = [
+            tuple(tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(m)) for _ in range(2)
+        ]
+        table = mining.RelevanceTable(
+            LabelTable(tuple("abcde"[:m])), rng.randint(1, 3), rng.randint(1, 3), *counts
+        )
+        rows = table.rows()
+        assert rows == oracles.relevance_rows_ranked(table)
+        scores = [score for _, _, score, _, _ in rows]
+        seen_inf_tie |= scores.count(math.inf) > 1
+        seen_finite_tie |= any(
+            a == b != math.inf for a, b in zip(scores, scores[1:])
+        )
+    assert seen_finite_tie and seen_inf_tie
 
 
 def test_relevance_validation():
