@@ -31,17 +31,17 @@ _MODULE_OF = {
     "EventSequence": "sequences",
     "SubsetSequence": "sequences",
     "as_subset_sequence": "sequences",
+    "common_matrix": "sequences",
     "flattenings": "sequences",
     "gts": "sequences",
     "is_consistent": "sequences",
     "restrict_sequence": "sequences",
+    "seq_to_matrix": "sequences",
     "stg": "sequences",
     "ClusterOutput": "mining",
     "RelevanceTable": "mining",
-    "common_matrix": "mining",
     "hasse_cluster": "mining",
     "relevance_scores": "mining",
-    "seq_to_matrix": "mining",
     "Dendrogram": "baselines",
     "MatrixPointSet": "baselines",
     "cluster_common_matrices": "baselines",

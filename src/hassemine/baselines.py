@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, EmptyInput
 from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .sequences import AnySequence, _analysis_table, _common_rows, _distinct, _encode
+from .sequences import AnySequence, _analysis_table, _distinct, _encode, common_matrix
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,13 @@ class Dendrogram:
             consumed.add(b)
 
 
-def _assignment(clusters, noise, n) -> list[int]:
-    """Per-point cluster ids in input order; noise points get -1."""
+def _assignment(clusters, n) -> list[int]:
+    """Per-point cluster ids in input order; a point in no cluster, such
+    as DBSCAN noise, gets -1."""
     out = [-1] * n
     for cluster_id, members in enumerate(clusters):
         for i in members:
             out[i] = cluster_id
-    for i in noise:
-        out[i] = -1
     return out
 
 
@@ -285,12 +284,12 @@ def cluster_common_matrices(
     seqs: Sequence[AnySequence],
     j_labels: Iterable[str],
 ) -> list[BoolMatrix]:
-    """Common matrix of each cluster's member sequences.
+    """Common matrix of each cluster's member sequences: one common_matrix
+    call per cluster, all on one label table.
 
-    The members are encoded once, together, and each cluster folds the
-    distinct keys of its members, as common_matrix does for one corpus.
     A member must be an integer index into seqs: -1 is refused, not read
-    as the last sequence.
+    as the last sequence. Every member is checked before any matrix is
+    built.
     """
     clusters = [list(c) for c in clusters]
     if not clusters:
@@ -298,7 +297,6 @@ def cluster_common_matrices(
     if not all(clusters):
         raise EmptyInput("common matrix needs at least one sequence")
     table = _analysis_table(j_labels)
-    members = []
     for i in chain.from_iterable(clusters):
         try:
             ok = 0 <= index(i) < len(seqs)
@@ -306,12 +304,4 @@ def cluster_common_matrices(
             ok = False
         if not ok:
             raise ValueError(f"cluster member {i!r} is not an index in 0..{len(seqs) - 1}")
-        members.append(seqs[i])
-    keys, slots = _encode(members, table)
-    out = []
-    start = 0
-    for c in clusters:
-        own = {keys[k] for k in slots[start : start + len(c)]}
-        out.append(BoolMatrix(table, _common_rows(own, len(table))))
-        start += len(c)
-    return out
+    return [common_matrix([seqs[i] for i in c], table) for c in clusters]

@@ -186,15 +186,14 @@ def cmd_baseline(args) -> int:
     if args.algo == "dbscan":
         if args.eps is None:
             raise ValueError("--algo dbscan needs --eps")
-        clusters, noise = dbscan(points, args.eps, min_samples=args.min_samples)
+        clusters, _ = dbscan(points, args.eps, min_samples=args.min_samples)
     else:
         if args.threshold is None:
             raise ValueError("--algo hier needs --threshold")
         clusters = cut(hierarchical(points), args.threshold)
-        noise = []
     writer = csv.writer(sys.stdout)
     writer.writerow(("index", "cluster"))
-    writer.writerows(enumerate(_assignment(clusters, noise, len(points))))
+    writer.writerows(enumerate(_assignment(clusters, len(points))))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         matrices = cluster_common_matrices(clusters, records.sequences, labels)

@@ -91,7 +91,7 @@ class MatrixDBSCAN(ParamsMixin):
         self.clusters_, self.noise_ = dbscan(
             points, self.eps, min_samples=self.min_samples
         )
-        self.labels_ = _assignment(self.clusters_, self.noise_, len(points.points))
+        self.labels_ = _assignment(self.clusters_, len(points.points))
         return self
 
     def fit_predict(self, X):
@@ -108,7 +108,7 @@ class AgglomerativeL1(ParamsMixin):
         points = _as_point_set(X)
         self.dendrogram_ = hierarchical(points)
         self.clusters_ = cut(self.dendrogram_, self.threshold)
-        self.labels_ = _assignment(self.clusters_, [], len(points.points))
+        self.labels_ = _assignment(self.clusters_, len(points.points))
         return self
 
     def fit_predict(self, X):

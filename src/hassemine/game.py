@@ -298,23 +298,27 @@ def _bfs_step(game, target):
     """First step of a shortest path to `target` through the open cells,
     `game.cells` (every cell in bounds and off the walls).
 
-    Rock cells count as passable (the walker blasts through them);
-    the door is passable only as the target itself.
+    The search first keeps every rock but the target closed, so the walker
+    goes round a rock where it can; only when no such path exists does it
+    search again with rocks passable, and the walker bumps the first rock
+    on its way (blasting it if it carries the explosive). The door is
+    passable only as the target itself.
     """
-    start, cells, door = game.pos, game.cells, game.config.door
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        if cell == target:
-            while prev[cell] != start and prev[cell] is not None:
-                cell = prev[cell]
-            return (cell[0] - start[0], cell[1] - start[1])
-        for dx, dy in DIRECTIONS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if nxt in cells and nxt not in prev and (nxt != door or nxt == target):
-                prev[nxt] = cell
-                queue.append(nxt)
+    start, door = game.pos, game.config.door
+    for cells in (game.cells - (game.rocks - {target}), game.cells):
+        prev = {start: None}
+        queue = deque([start])
+        while queue:
+            cell = queue.popleft()
+            if cell == target:
+                while prev[cell] != start and prev[cell] is not None:
+                    cell = prev[cell]
+                return (cell[0] - start[0], cell[1] - start[1])
+            for dx, dy in DIRECTIONS:
+                nxt = (cell[0] + dx, cell[1] + dy)
+                if nxt in cells and nxt not in prev and (nxt != door or nxt == target):
+                    prev[nxt] = cell
+                    queue.append(nxt)
     raise ValueError(f"waypoint {target} unreachable from {start}")
 
 

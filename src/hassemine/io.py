@@ -209,13 +209,11 @@ def load_matrix_csv(path) -> BoolMatrix:
         reader = list(csv.reader(handle))
     if not reader:
         raise ValueError(f"{path}: empty matrix file")
-    table = LabelTable(tuple(reader[0]))
     try:
         entries = [[int(cell) for cell in row] for row in reader[1:]]
     except ValueError:
         raise ValueError(f"{path}: matrix entries must be 0 or 1") from None
-    if len(entries) != len(table) or any(len(r) != len(table) for r in entries):
-        raise ValueError(f"{path}: matrix shape does not match its label row")
-    if any(cell not in (0, 1) for row in entries for cell in row):
-        raise ValueError(f"{path}: matrix entries must be 0 or 1")
-    return BoolMatrix.from_entries(table, entries)
+    try:  # BoolMatrix checks the shape and the 0/1 cells
+        return BoolMatrix.from_entries(LabelTable(tuple(reader[0])), entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

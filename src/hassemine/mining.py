@@ -1,11 +1,10 @@
 """Order mining over label sequences.
 
-Four operations: the per-sequence order matrix (which label pairs are
-strictly ordered within one sequence), the common matrix of a sequence
-collection (pairs ordered the same way everywhere they co-occur), Hasse
-clustering (undominated small sets of quasi-skeleton graphs covering a
-required share of the sequences), and win/lose relevance scoring of ordered
-label pairs. All four read the corpus encoding of `sequences`.
+Two operations: Hasse clustering (undominated small sets of quasi-skeleton
+graphs covering a required share of the sequences) and win/lose relevance
+scoring of ordered label pairs. Both read the corpus encoding of
+`sequences`, which also holds the per-sequence order matrix and the common
+matrix; `seq_to_matrix` and `common_matrix` stay importable from here.
 """
 
 from __future__ import annotations
@@ -35,31 +34,8 @@ from .graphs import (
     _pack_rows,
     _unpack_rows,
 )
-from .sequences import AnySequence, _analysis_table, _common_rows, _encode, _order_key, flattenings
-
-
-def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
-    """Order matrix of one sequence over an ordered label subset.
-
-    Entry (i, j) is 1 iff both labels occur and every occurrence of label i
-    comes strictly before every occurrence of label j. The result is always
-    transitive, with zero rows and columns for absent labels.
-    """
-    table = _analysis_table(j_labels)
-    return BoolMatrix(table, _order_key(s, table)[0])
-
-
-def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolMatrix:
-    """Pairs ordered identically in every sequence where both labels occur.
-
-    Entry (i, j) is 1 iff some sequence witnesses the pair (both occur,
-    i strictly first) and no sequence where both occur violates it.
-    """
-    seqs = list(seqs)
-    if not seqs:
-        raise EmptyInput("common matrix needs at least one sequence")
-    table = _analysis_table(j_labels)
-    return BoolMatrix(table, _common_rows(_encode(seqs, table)[0], len(table)))
+from .sequences import AnySequence, _analysis_table, _encode, flattenings
+from .sequences import common_matrix, seq_to_matrix  # re-exported
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ label i is ordered before label j when both occur and every occurrence of
 i comes strictly before every occurrence of j. `_order_key` computes it
 once per sequence, as (order rows, occurrence mask). A corpus has one
 encoding, `_encode`: each distinct sequence is encoded once, and the corpus
-becomes its distinct keys plus each sequence's key. The common matrix, the
-miner, relevance scoring and the baselines' point sets all read it.
+becomes its distinct keys plus each sequence's key. The miner, relevance
+scoring and the baselines' point sets all read it. Its public readers live
+here: `seq_to_matrix`, the order matrix of one sequence, and
+`common_matrix`, the pairs ordered alike across a collection, which the
+baselines' per-cluster common matrices call once per cluster.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import (
+    EmptyInput,
     EmptyJ,
     EmptyRestriction,
     EmptyTerm,
@@ -28,6 +32,7 @@ from .errors import (
     NotSimple,
 )
 from .graphs import (
+    BoolMatrix,
     Digraph,
     LabelTable,
     _bit_indices,
@@ -154,16 +159,37 @@ def _encode(seqs: list[AnySequence], table: LabelTable):
     return keys, [key_slots[k] for k in seq_slots]
 
 
-def _common_rows(keys, m: int) -> tuple[int, ...]:
-    """Common-matrix rows of the sequences with these _encode keys: a pair
-    is kept iff some key witnesses it and no key where both occur vetoes it."""
-    witness = [0] * m
-    veto = [0] * m
-    for rows, occurring in keys:
+def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
+    """Order matrix of one sequence over an ordered label subset.
+
+    Entry (i, j) is 1 iff both labels occur and every occurrence of label i
+    comes strictly before every occurrence of label j. The result is always
+    transitive, with zero rows and columns for absent labels.
+    """
+    table = _analysis_table(j_labels)
+    return BoolMatrix(table, _order_key(s, table)[0])
+
+
+def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolMatrix:
+    """Pairs ordered identically in every sequence where both labels occur.
+
+    Entry (i, j) is 1 iff some sequence witnesses the pair (both occur,
+    i strictly first) and no sequence where both occur violates it. Each
+    distinct key of the encoding is folded once: a key adds its order rows
+    to the witnesses, and the pairs of its occurring labels that it does
+    not order to the vetoes.
+    """
+    seqs = list(seqs)
+    if not seqs:
+        raise EmptyInput("common matrix needs at least one sequence")
+    table = _analysis_table(j_labels)
+    witness = [0] * len(table)
+    veto = [0] * len(table)
+    for rows, occurring in _encode(seqs, table)[0]:
         for i in _bit_indices(occurring):
             witness[i] |= rows[i]
             veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
-    return tuple(w & ~v for w, v in zip(witness, veto))
+    return BoolMatrix(table, tuple(w & ~v for w, v in zip(witness, veto)))
 
 
 def as_subset_sequence(s: EventSequence) -> SubsetSequence:

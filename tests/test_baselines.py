@@ -19,7 +19,8 @@ Claims covered:
 - cut(d, 0) separates distinct points, cut at max height yields one
   cluster, and threshold semantics never depend on float rounding;
 - a cluster member that is not an integer index into the sequences is
-  refused with a ValueError naming it.
+  refused with a ValueError naming it, and the analysis labels may come
+  as a one-shot iterator.
 """
 
 from __future__ import annotations
@@ -381,6 +382,8 @@ def test_dendrogram_validation():
         Dendrogram(3, ((0, 1, 1), ("2", 3, 2)))
     with pytest.raises(ValueError, match="n_leaves must be an integer"):
         Dendrogram(2.5, ((0, 1, 0),))
+    with pytest.raises(ValueError, match="at least one leaf"):
+        Dendrogram(0, ())
 
 
 def test_singleton_cluster_common_matrix():
@@ -402,6 +405,15 @@ def test_flattening_cluster_common_matrix():
         ],
     )
     assert mats == [expected]
+
+
+def test_cluster_common_matrices_read_the_labels_once():
+    # the labels are read into one table that every cluster shares, so a
+    # one-shot iterator of them gives what the tuple gives
+    clusters = [[0, 4], [1, 2, 3], [5, 6]]
+    assert cluster_common_matrices(clusters, TYPE_SEQS, iter(J5)) == (
+        cluster_common_matrices(clusters, TYPE_SEQS, J5)
+    )
 
 
 @pytest.mark.parametrize("member", [-1, len(TYPE_SEQS), 0.0, "0", None])

@@ -7,10 +7,11 @@ Claims covered:
   digest at m = 6), and rejects m outside 1..6 with exit 2 and a message
   naming the m it was given;
 - simulate --out then load yields exactly the in-process episodes, and
-  reruns are byte-identical;
+  reruns are byte-identical; a step cap of 1 loses every episode, and a
+  cap of 0 exits 2;
 - corrupt at fraction 0 is the identity, is reproducible per seed, and
   changes exactly ceil(fraction * n) rows otherwise; bad fractions and
-  unknown ops exit 2;
+  unknown or no ops exit 2;
 - mine emits a JSON payload whose matrices reproduce the published
   winning set, exits 3 when no covering set exists, honors --only-label,
   writes reduction DOT files, and builds no catalog;
@@ -220,6 +221,17 @@ def test_corrupt_universe_flag(tmp_path, capsys):
     assert parse_sequences(out).sequences[0].events == ("e1", "e2")
 
 
+def test_simulate_step_cap(tmp_path, capsys):
+    # one step wins no game; a cap below one is refused
+    path = tmp_path / "capped.jsonl"
+    args = ("simulate", "--version", "2", "--episodes", "9", "--out", str(path))
+    assert run_cli(capsys, *args, "--step-cap", "1")[0] == 0
+    assert load_sequences(path).labels == (0,) * 9
+    code, _, err = run_cli(capsys, *args, "--step-cap", "0")
+    assert code == 2
+    assert "step cap must be at least 1" in err
+
+
 def test_corrupt_bad_inputs(tmp_path, capsys):
     src = simulate_file(tmp_path, "src.jsonl", 1, 3)
     for extra in (
@@ -230,6 +242,9 @@ def test_corrupt_bad_inputs(tmp_path, capsys):
         code, _, err = run_cli(capsys, "corrupt", "--in", str(src), *extra)
         assert code == 2
         assert "error:" in err
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(src), "--fraction", "0.5", "--ops", ",")
+    assert code == 2
+    assert "no labels in ','" in err
     code, _, _ = run_cli(
         capsys, "corrupt", "--in", str(tmp_path / "nope.jsonl"),
         "--fraction", "0",

@@ -6,8 +6,8 @@ Claims covered:
   relevance_scores, hasse_cluster, dbscan and hierarchical give what the
   per-sequence code they replaced and the brute-force oracles give, and
   equal points of a MatrixPointSet are one shared matrix object;
-- cluster_common_matrices, which encodes the members once, gives what one
-  common_matrix call per cluster gives;
+- cluster_common_matrices gives what one common_matrix call per cluster
+  gives;
 - the encoder keeps the error behaviour of the per-sequence code: an empty
   point set needs no labels, an empty common matrix raises EmptyInput,
   the label cap is checked before the universes, and seq_to_matrix raises

@@ -17,9 +17,11 @@ Claims covered:
 - scripted play builds one game per route of the rotation and repeats its
   episode, random play one game per episode;
 - a grid with no wall border plays as before, pinned by its own digest,
-  and the breadth-first walker never paths through the door;
+  and the breadth-first walker never paths through the door, goes round
+  a rock where it can, and bumps one only when no way goes round;
 - corrupt mutates exactly ceil(fraction * n) episodes (one swap, delete,
-  or insert each), preserves the rest bit for bit, and is seeded;
+  or insert each), preserves the rest bit for bit, and is seeded; a
+  sequence no op can change comes back as it was;
 - relevance scores from a simulated v1 mix assign infinite scores to the
   win-prerequisite pairs;
 - every episode of both versions under every policy, several step caps
@@ -262,12 +264,28 @@ def test_walker_never_paths_through_the_door():
     # the first step and bump it empty-handed until the step cap.
     cfg = GameConfig.from_grid(1, ("......", "KDR.SE"), 40, 0)
     assert [ep.events.events for ep in simulate(cfg, 3, "scripted-mixed")] == [
-        # door-1 reaches the key round the top; its path on to the
-        # explosive crosses the rock, which it bumps until the cap
-        ("e1",) + ("e7",) * 31 + ("e4", "e10"),
+        # door-1 reaches the key round the top, and goes round the rock
+        # on to the explosive too
+        ("e1", "e2", "e5", "e6", "e9"),
         ("e2", "e1", "e5", "e6", "e9"),
         ("e2", "e5", "e1", "e6", "e9"),
     ]
+
+
+def test_walker_bumps_a_rock_only_when_no_way_goes_round():
+    # The rock is the key's only way to the start: door-1, which wants
+    # the key first, bumps it empty-handed until the cap; the other routes
+    # blast it first.
+    cfg = GameConfig.from_grid(1, ("KR.SE", "#D###"), 40, 0)
+    assert [ep.events.events for ep in simulate(cfg, 3, "scripted-mixed")] == [
+        ("e7",) * 39 + ("e3", "e4", "e10"),
+        ("e2", "e5", "e1", "e6", "e9"),
+        ("e2", "e5", "e1", "e6", "e9"),
+    ]
+    # a waypoint walled off from the start is refused
+    walled = GameConfig.from_grid(1, ("K#.SE", "D#R..", "#####"), 40, 0)
+    with pytest.raises(ValueError, match=r"waypoint \(0, 0\) unreachable"):
+        simulate(walled, 1, "scripted-door-1")
 
 
 def test_config_validation():
@@ -291,6 +309,10 @@ def test_config_validation():
         dataclasses.replace(v1_config(), step_cap=0)
     with pytest.raises(ValueError):
         dataclasses.replace(v1_config(), key=v1_config().door)
+    with pytest.raises(ValueError, match="unknown game version 3"):
+        dataclasses.replace(v1_config(), version=3)
+    with pytest.raises(ValueError, match=r"feature at \(99, 0\) is outside the grid"):
+        dataclasses.replace(v1_config(), key=(99, 0))
 
 
 def test_episode_validation():
@@ -386,6 +408,10 @@ def test_corrupt_single_ops():
     twins = [EventSequence(table, ("a", "a"))]
     (same,) = corrupt_sequences(twins, 1, 0, ops=("swap",))
     assert same.events == ("a", "a")
+    # an empty sequence has nothing to swap or delete: it comes back as is
+    empty = EventSequence(table, ())
+    (kept,) = corrupt_sequences([empty], 1, 0, ops=("swap", "delete"))
+    assert kept is empty
 
 
 def test_relevance_on_simulated_v1_mix():

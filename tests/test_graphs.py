@@ -183,6 +183,11 @@ def test_restrict_unknown_label():
         restrict(_diamond(), ("A", "Z"))
 
 
+def test_restrict_refuses_a_cycle():
+    with pytest.raises(CyclicInput):
+        restrict(_graph("ABC", ("A", "B"), ("B", "A")), ("A", "C"))
+
+
 @given(random_dags())
 def test_restrict_preserves_relation(g):
     rng = random.Random(hash(g.rows))
@@ -214,6 +219,11 @@ def test_bad_matrix_entries_rejected():
             with pytest.raises(ValueError, match="is not an integer"):
                 cls(LabelTable(("x", "y")), rows)
         assert cls(LabelTable(("x", "y")), (True, 0)).rows == (1, 0)
+    # rows are checked against the table: each fits its columns, one per label
+    with pytest.raises(ValueError, match="does not fit 2 columns"):
+        BoolMatrix(LabelTable(("a", "b")), (4, 0))
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        BoolMatrix(LabelTable(("a", "b")), (0,))
 
 
 def test_duplicate_labels_rejected():

@@ -22,7 +22,8 @@ Claims covered:
   except records holding a list or object other than events, which are
   read anew; a repeated bad line fails at its first copy;
 - episode rows carry exactly the five published fields;
-- matrix CSV round-trips exactly and rejects ragged or non-binary data.
+- matrix CSV round-trips exactly and rejects ragged or non-binary data
+  and a repeated label, with a message naming the file.
 """
 
 from __future__ import annotations
@@ -274,11 +275,16 @@ def test_matrix_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         load_matrix_csv(path)
+    # each message names the file
+    prefix = f"^{re.escape(str(path))}: "
+    path.write_text("a,a\n0,0\n0,0\n")
+    with pytest.raises(ValueError, match=prefix + "labels must be pairwise distinct"):
+        load_matrix_csv(path)
     path.write_text("a,b\n0,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=prefix + "expected 2 rows, got 1$"):
         load_matrix_csv(path)
     path.write_text("a,b\n0,1\n0,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=prefix + "matrix entries must be 0/1, got 2$"):
         load_matrix_csv(path)
     path.write_text("a,b\n0,x\n0,0\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: matrix entries must be 0 or 1$"):

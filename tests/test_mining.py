@@ -1056,6 +1056,8 @@ def test_relevance_validation():
     ]
     with pytest.raises(LabelMismatch):
         relevance_scores(mixed)
+    with pytest.raises(ValueError, match="class label must be 0 or 1, got 2"):
+        relevance_scores([(EventSequence(universe, ("a",)), 2)])
     table = relevance_scores(
         [(EventSequence(universe, ("a",)), 1), (EventSequence(universe, ("b",)), 0)]
     )
