@@ -22,9 +22,10 @@ from .graphs import (
     LabelTable,
     _bit_indices,
     _check_label_count,
+    _closure_rows,
     _pack_rows,
-    _predecessor_rows,
     _reduction_rows,
+    _transpose,
     _unpack_rows,
     path_matrix,
 )
@@ -83,7 +84,7 @@ def _strict_orders(m: int) -> tuple[int, ...]:
         rows = _unpack_rows(flat, q)
         up_sets = _closed_sets(rows)
         base = _pack_rows(rows, m)
-        for down in _closed_sets(_predecessor_rows(rows)):
+        for down in _closed_sets(_transpose(rows, q)):
             cap = full
             for x in _bit_indices(down):
                 cap &= rows[x]
@@ -160,9 +161,9 @@ def has_morphism(g_from: Digraph, g_to: Digraph) -> bool:
     """
     if g_from.labels != g_to.labels:
         raise LabelMismatch("morphism check needs a shared label table")
-    pm_from = path_matrix(g_from).rows
-    pm_to = path_matrix(g_to).rows
-    return all(t & ~f == 0 for f, t in zip(pm_from, pm_to))
+    closed_from = _closure_rows(g_from.rows)
+    closed_to = _closure_rows(g_to.rows)
+    return all(t & ~f == 0 for f, t in zip(closed_from, closed_to))
 
 
 def generalizations(cat: CategoryRJ, g: Digraph) -> list[int]:

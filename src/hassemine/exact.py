@@ -22,7 +22,8 @@ MAX_DIGITS = 4300
 
 def exact_fraction(value) -> Fraction:
     """value as a Fraction; raises what Fraction raises on non-numbers,
-    and ValueError on a string past MAX_DIGITS (see the module docstring).
+    and ValueError on a string past MAX_DIGITS (see the module docstring)
+    or with a zero denominator, such as "1/0".
 
     A string without "/" is sized through Decimal before it is expanded;
     "p/q" holds two plain integers, which int() already bounds.
@@ -36,4 +37,7 @@ def exact_fraction(value) -> Fraction:
             raise ValueError(f"not a number within {MAX_DIGITS} digits: {value[:40]!r}") from None
         if isinstance(exp, int) and max(len(digits) + max(exp, 0), 1 - min(exp, 0)) > MAX_DIGITS:
             raise ValueError(f"more than {MAX_DIGITS} digits: {value[:40]!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {value[:40]!r}") from None

@@ -203,13 +203,16 @@ def _unpack_rows(packed: int, m: int) -> tuple[int, ...]:
     return tuple(low_first >> (m * i) & mask for i in range(m))
 
 
-def _predecessor_rows(rows: tuple[int, ...]) -> list[int]:
-    """The transpose: bit i of the result's row j is set iff rows[i] has bit j."""
-    preds = [0] * len(rows)
+def _transpose(rows: Iterable[int], width: int) -> list[int]:
+    """The transpose of a bit-row matrix whose rows fit `width` columns:
+    bit i of the result's row j is set iff rows[i] has bit j. On a
+    graph's rows it gives each vertex's predecessor set; on packed
+    matrices (width m*m), each entry's set of matrices holding it."""
+    out = [0] * width
     for i, row in enumerate(rows):
         for j in _bit_indices(row):
-            preds[j] |= 1 << i
-    return preds
+            out[j] |= 1 << i
+    return out
 
 
 def _closure_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,9 +238,19 @@ def _reduction_rows(closed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _acyclic_closure(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The closure rows (`_closure_rows`), or None when some vertex
+    reaches itself, that is, when the graph has a directed cycle. The one
+    cycle test that is_dag, transitive_reduction, is_quasi_skeleton,
+    restrict and gts share."""
+    closed = _closure_rows(rows)
+    if any(row >> i & 1 for i, row in enumerate(closed)):
+        return None
+    return closed
+
+
 def is_dag(g: Digraph) -> bool:
-    closed = _closure_rows(g.rows)
-    return all(not (closed[i] >> i & 1) for i in range(g.m))
+    return _acyclic_closure(g.rows) is not None
 
 
 def transitive_closure(g: Digraph) -> Digraph:
@@ -257,24 +270,21 @@ def r_set(g: Digraph) -> BoolMatrix:
 
 def transitive_reduction(g: Digraph) -> Digraph:
     """Minimal graph with g's reachability; the cover relation of the induced order."""
-    closed = _closure_rows(g.rows)
-    if any(closed[i] >> i & 1 for i in range(g.m)):
+    closed = _acyclic_closure(g.rows)
+    if closed is None:
         raise CyclicInput("transitive reduction is only unique for acyclic graphs")
     return Digraph(g.labels, _reduction_rows(closed))
 
 
 def is_quasi_skeleton(g: Digraph) -> bool:
-    """True iff g is a DAG with no arrow shortcutting a path of length >= 2."""
-    closed = _closure_rows(g.rows)
-    if any(closed[i] >> i & 1 for i in range(g.m)):
-        return False
-    for row in g.rows:
-        two_plus = 0
-        for w in _bit_indices(row):
-            two_plus |= closed[w]
-        if row & two_plus:
-            return False
-    return True
+    """True iff g is a DAG with no arrow shortcutting a path of length >= 2.
+
+    Equivalently, g is a DAG equal to the transitive reduction of its
+    closure (Aho, Garey & Ullman 1972): an arrow is dropped by the
+    reduction exactly when a longer path runs beside it.
+    """
+    closed = _acyclic_closure(g.rows)
+    return closed is not None and _reduction_rows(closed) == g.rows
 
 
 def restrict(g: Digraph, u: Iterable[str]) -> Digraph:
@@ -284,8 +294,8 @@ def restrict(g: Digraph, u: Iterable[str]) -> Digraph:
     result's labels keep g's table order.
     """
     positions = sorted({g.labels.position(x) for x in u})
-    closed = _closure_rows(g.rows)
-    if any(closed[i] >> i & 1 for i in range(g.m)):
+    closed = _acyclic_closure(g.rows)
+    if closed is None:
         raise CyclicInput("restriction needs an acyclic graph")
     sub = []
     for new_i, i in enumerate(positions):
@@ -299,12 +309,19 @@ def restrict(g: Digraph, u: Iterable[str]) -> Digraph:
     return Digraph(table, _reduction_rows(tuple(sub)))
 
 
+def _dot_id(label: str) -> str:
+    """label as a quoted DOT ID, with each backslash doubled and each
+    double quote escaped: no label can end the quoted string early, and
+    two labels never share an ID."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Digraph, name: str = "G") -> str:
     """Graphviz DOT text: one node per label, one edge per arrow."""
     lines = [f"digraph {name} {{"]
     for lab in g.labels:
-        lines.append(f'  "{lab}";')
+        lines.append(f"  {_dot_id(lab)};")
     for u, v in g.arrows():
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from .graphs import (
     _check_label_count,
     _closure_rows,
     _pack_rows,
+    _transpose,
     _unpack_rows,
 )
 from .sequences import AnySequence, _analysis_table, _encode, flattenings
@@ -61,7 +62,7 @@ class ClusterOutput:
 def _threshold_fraction(t) -> Fraction:
     try:
         frac = exact_fraction(t)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InvalidThreshold(f"threshold {t!r} is not a number") from exc
     if frac < 0 or frac > 100:
         raise InvalidThreshold(f"threshold must lie in [0, 100], got {t!r}")
@@ -322,10 +323,7 @@ def hasse_cluster(
 
     # column[e]: the distinct matrices that hold entry bit e
     every = (1 << len(d_flats)) - 1
-    column = [0] * (m * m)
-    for jbit, df in enumerate(d_flats):
-        for e in _bit_indices(df):
-            column[e] |= 1 << jbit
+    column = _transpose(d_flats, m * m)
     columns = set(column) - {0}
 
     def top_of(mask: int) -> int:

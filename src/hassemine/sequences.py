@@ -35,9 +35,10 @@ from .graphs import (
     BoolMatrix,
     Digraph,
     LabelTable,
+    _acyclic_closure,
     _bit_indices,
     _closure_rows,
-    _predecessor_rows,
+    _transpose,
 )
 
 
@@ -220,63 +221,48 @@ def stg(s: AnySequence) -> Digraph:
 
     Vertices are the labels appearing in s (in order of appearance, universe
     order within a term); arrows run from every element of each term to every
-    element of the next term.
+    element of the next term. Each term fills a block of consecutive
+    positions, so a term's row is the next term's block.
     """
     if isinstance(s, EventSequence):
         s = as_subset_sequence(s)
     if not s.is_simple:
         raise NotSimple("stg needs pairwise disjoint terms")
-    ordered_terms = []
-    labels: list[str] = []
-    for term in s.terms:
-        if not term:
-            raise EmptyTerm("stg needs nonempty terms")
-        members = sorted(term, key=s.universe.position)
-        labels.extend(members)
-        ordered_terms.append(members)
-    table = LabelTable(tuple(labels))
-    rows = [0] * len(table)
-    for cur, nxt in zip(ordered_terms, ordered_terms[1:]):
-        target = 0
-        for v in nxt:
-            target |= 1 << table.position(v)
-        for u in cur:
-            rows[table.position(u)] = target
-    return Digraph(table, tuple(rows))
+    if not all(s.terms):
+        raise EmptyTerm("stg needs nonempty terms")
+    terms = [sorted(term, key=s.universe.position) for term in s.terms]
+    rows: list[int] = []
+    start = 0
+    for cur, nxt in zip(terms, terms[1:] + [[]]):
+        start += len(cur)
+        rows += [((1 << len(nxt)) - 1) << start] * len(cur)
+    return Digraph(LabelTable(tuple(lab for term in terms for lab in term)), tuple(rows))
 
 
 def gts(g: Digraph) -> SubsetSequence:
     """The layer sequence of a layered graph; inverse of stg on its image.
 
-    Layers are peeled by in-degree zero; the layering is then verified to be
-    complete-bipartite between consecutive layers (and arrowless elsewhere),
-    raising NotLayered otherwise.
+    After the cycle test, a walk reads the layers: the first is the
+    sources, and each next one is the row that every member of the layer
+    before shares; a member with another row raises NotLayered. In a
+    DAG every vertex lies on a path from a source, so a walk that ends
+    without error has reached them all.
     """
-    m = g.m
-    preds = _predecessor_rows(g.rows)
-    remaining = (1 << m) - 1
-    layers: list[int] = []
-    while remaining:
-        layer = 0
-        for v in _bit_indices(remaining):
-            if preds[v] & remaining == 0:
-                layer |= 1 << v
-        if not layer:
-            raise NotLayered("graph contains a directed cycle")
-        layers.append(layer)
-        remaining &= ~layer
-    for idx, layer in enumerate(layers):
-        target = layers[idx + 1] if idx + 1 < len(layers) else 0
-        for v in _bit_indices(layer):
-            if g.rows[v] != target:
-                raise NotLayered(
-                    "arrows are not complete between consecutive layers"
-                )
+    rows = g.rows
+    if _acyclic_closure(rows) is None:
+        raise NotLayered("graph contains a directed cycle")
+    layer = (1 << g.m) - 1
+    for row in rows:
+        layer &= ~row
     labs = g.labels.labels
-    terms = tuple(
-        frozenset(labs[v] for v in _bit_indices(layer)) for layer in layers
-    )
-    return SubsetSequence(g.labels, terms)
+    terms = []
+    while layer:
+        terms.append(frozenset(labs[v] for v in _bit_indices(layer)))
+        nexts = {rows[v] for v in _bit_indices(layer)}
+        if len(nexts) > 1:
+            raise NotLayered("arrows are not complete between consecutive layers")
+        layer = nexts.pop()
+    return SubsetSequence(g.labels, tuple(terms))
 
 
 def is_consistent(s: AnySequence, w: Digraph) -> bool:
@@ -298,7 +284,7 @@ def flattenings(g: Digraph) -> list[Digraph]:
     order of the vertex-index sequence.
     """
     m = g.m
-    preds = _predecessor_rows(g.rows)
+    preds = _transpose(g.rows, m)
     orders: list[tuple[int, ...]] = []
     prefix: list[int] = []
 

@@ -27,9 +27,13 @@ row order that keyed each row by its rank and label positions before one
 stable sort on the rank; the sequence
 file parser that decoded, checked and built a sequence for every line,
 repeated or not; the consistency predicate that compared occurrence
-spans pair by pair before it read the order encoding; and a harness that
-checks five characterizations of sequence/diagram consistency against
-each other.
+spans pair by pair before it read the order encoding; the layer
+conversions as they were before they read the shared cycle test and
+block positions (gts peeling layers by in-degree zero, stg looking up
+each label's position in the new table); the quasi-skeleton test that
+looked for an arrow shortcutting a longer path before it compared the
+graph with the reduction of its closure; and a harness that checks five
+characterizations of sequence/diagram consistency against each other.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 
 from hassemine import (
     Digraph,
+    EmptyTerm,
     LabelNotInUniverse,
     LabelTable,
+    NotLayered,
     NotSimple,
     SequenceRecords,
     r_set,
@@ -51,9 +57,11 @@ from hassemine import (
     seq_to_matrix,
 )
 from hassemine.enumeration import enumerate_category
-from hassemine.graphs import _bit_indices, _closure_rows, _pack_rows
+from hassemine.graphs import _bit_indices, _closure_rows, _pack_rows, _transpose
 from hassemine.sequences import (
     EventSequence,
+    SubsetSequence,
+    as_subset_sequence,
     flattenings,
     is_consistent,
     restrict_sequence,
@@ -97,6 +105,77 @@ def tr_arrow_deletion(labels, arrows):
                 kept = trial
                 changed = True
     return set(kept)
+
+
+def is_quasi_skeleton_shortcut(g: Digraph) -> bool:
+    """is_quasi_skeleton as a search for a shortcut: g is a DAG and no
+    arrow u -> v has v reachable from another successor of u."""
+    closed = _closure_rows(g.rows)
+    if any(closed[i] >> i & 1 for i in range(g.m)):
+        return False
+    for row in g.rows:
+        two_plus = 0
+        for w in _bit_indices(row):
+            two_plus |= closed[w]
+        if row & two_plus:
+            return False
+    return True
+
+
+def stg_by_position(s) -> Digraph:
+    """stg that builds each row by looking up the positions of the next
+    term's labels in the new label table."""
+    if isinstance(s, EventSequence):
+        s = as_subset_sequence(s)
+    if not s.is_simple:
+        raise NotSimple("stg needs pairwise disjoint terms")
+    ordered_terms = []
+    labels: list[str] = []
+    for term in s.terms:
+        if not term:
+            raise EmptyTerm("stg needs nonempty terms")
+        members = sorted(term, key=s.universe.position)
+        labels.extend(members)
+        ordered_terms.append(members)
+    table = LabelTable(tuple(labels))
+    rows = [0] * len(table)
+    for cur, nxt in zip(ordered_terms, ordered_terms[1:]):
+        target = 0
+        for v in nxt:
+            target |= 1 << table.position(v)
+        for u in cur:
+            rows[table.position(u)] = target
+    return Digraph(table, tuple(rows))
+
+
+def gts_peel(g: Digraph) -> SubsetSequence:
+    """gts that peels layers by in-degree zero (no layer left to peel
+    means a cycle) and then checks each layer's rows against the next."""
+    m = g.m
+    preds = _transpose(g.rows, m)
+    remaining = (1 << m) - 1
+    layers: list[int] = []
+    while remaining:
+        layer = 0
+        for v in _bit_indices(remaining):
+            if preds[v] & remaining == 0:
+                layer |= 1 << v
+        if not layer:
+            raise NotLayered("graph contains a directed cycle")
+        layers.append(layer)
+        remaining &= ~layer
+    for idx, layer in enumerate(layers):
+        target = layers[idx + 1] if idx + 1 < len(layers) else 0
+        for v in _bit_indices(layer):
+            if g.rows[v] != target:
+                raise NotLayered(
+                    "arrows are not complete between consecutive layers"
+                )
+    labs = g.labels.labels
+    terms = tuple(
+        frozenset(labs[v] for v in _bit_indices(layer)) for layer in layers
+    )
+    return SubsetSequence(g.labels, terms)
 
 
 def linear_extensions_bruteforce(labels, order_pairs):

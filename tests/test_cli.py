@@ -480,7 +480,7 @@ def test_numeric_options_are_read_exactly(tmp_path, capsys):
         ((*baseline, "--algo", "dbscan"), "--eps"),
         ((*baseline, "--algo", "hier"), "--threshold"),
     ):
-        for bad in ("nan", "inf", "-inf", "ten", "", "1e10000000", "1e-10000000"):
+        for bad in ("nan", "inf", "-inf", "ten", "", "1e10000000", "1e-10000000", "1/0", "0/0"):
             started = time.perf_counter()
             code, out, err = run_cli(capsys, *argv, f"{option}={bad}")
             # a huge exponent is refused before it is expanded

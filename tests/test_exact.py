@@ -6,6 +6,8 @@ Claims covered:
 - the mining threshold, DBSCAN radius, dendrogram cut and corruption
   fraction all read floats that way, so a float never tips a boundary;
 - each caller keeps its own error type for values that are not numbers;
+- a zero denominator ("1/0", "0/0") is a ValueError, not a
+  ZeroDivisionError;
 - a string whose numerator or denominator needs more than 4300 digits is
   refused at once, before Fraction expands it.
 """
@@ -35,6 +37,9 @@ def test_exact_fraction_values():
         exact_fraction("ten")
     with pytest.raises(TypeError):
         exact_fraction(None)
+    for text in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            exact_fraction(text)
 
 
 def test_digit_bound_on_strings():

@@ -6,7 +6,9 @@ Claims covered:
 - closure and reduction are idempotent; reduction-of-closure is the identity
   on quasi-skeleton graphs;
 - R(G1) within R(G2) does not imply raw-arrow inclusion;
-- restrict preserves reachability among the kept labels.
+- restrict preserves reachability among the kept labels;
+- DOT export quotes every label as one ID, whatever quotes or backslashes
+  it holds.
 """
 
 from __future__ import annotations
@@ -238,6 +240,20 @@ def test_dot_export_lists_every_node_and_arrow():
     assert '  "B";' in dot
     assert '  "A" -> "B";' in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_dot_ids_escape_quotes_and_backslashes():
+    labels = LabelTable(('a"b', "c", "d\\", 'x"; "y" -> "z'))
+    g = Digraph.from_arrows(labels, [('a"b', "c"), ("d\\", 'x"; "y" -> "z')])
+    assert to_dot(g).splitlines()[1:] == [
+        r'  "a\"b";',
+        r'  "c";',
+        r'  "d\\";',
+        r'  "x\"; \"y\" -> \"z";',
+        r'  "a\"b" -> "c";',
+        r'  "d\\" -> "x\"; \"y\" -> \"z";',
+        "}",
+    ]
 
 
 @settings(max_examples=30)

@@ -4,6 +4,10 @@ Claims covered:
 - restriction drops emptied terms and keeps order (worked examples);
 - gts(stg(S)) = S on simple subset sequences with nonempty terms;
 - stg output is quasi-skeleton; gts rejects non-layered graphs;
+- gts, stg, is_quasi_skeleton, is_dag and transitive_reduction agree with
+  the layer peel, the position-lookup stg, the shortcut search, BFS
+  reachability and greedy arrow deletion, errors included, on every
+  digraph on at most three labels and on seeded random ones on 4-6;
 - flattening counts equal a brute-force permutation filter, and every
   flattening maps into its source graph;
 - consistency matches the worked examples, is monotone under weakening,
@@ -24,13 +28,14 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hassemine import (
+    CyclicInput,
     Digraph,
     EmptyRestriction,
     EmptyTerm,
@@ -38,10 +43,12 @@ from hassemine import (
     LabelTable,
     NotLayered,
     NotSimple,
+    is_dag,
     is_quasi_skeleton,
     path_matrix,
     r_set,
     restrict,
+    transitive_reduction,
 )
 from hassemine.enumeration import enumerate_category, has_morphism
 from hassemine.sequences import (
@@ -57,8 +64,13 @@ from hassemine.sequences import (
 
 from oracles import (
     check_consistency_equivalences,
+    gts_peel,
     is_consistent_spans,
+    is_quasi_skeleton_shortcut,
     linear_extensions_bruteforce,
+    reachable_pairs_bfs,
+    stg_by_position,
+    tr_arrow_deletion,
 )
 
 X8 = LabelTable(tuple("ABCDEFGH"))
@@ -182,6 +194,74 @@ def simple_subset_sequences(draw):
 @given(simple_subset_sequences())
 def test_gts_stg_roundtrip(s):
     assert gts(stg(s)).terms == s.terms
+
+
+def _result_or_error(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _relation_core_graphs(rng):
+    """Every digraph on 0-3 labels, loops included, then 300 on 4-6
+    labels: arbitrary rows, arrows only to later labels (acyclic), and
+    layered graphs on a shuffled partition, half of them with one entry
+    flipped."""
+    for m in range(4):
+        table = LabelTable(tuple("ABC"[:m]))
+        for rows in product(range(1 << m), repeat=m):
+            yield Digraph(table, rows)
+    for k in range(300):
+        m = rng.randint(4, 6)
+        table = LabelTable(tuple("ABCDEF"[:m]))
+        if k % 3 == 0:
+            rows = [rng.getrandbits(m) for _ in range(m)]
+        elif k % 3 == 1:
+            rows = [rng.getrandbits(m) & -(2 << i) for i in range(m)]
+        else:
+            order = rng.sample(table.labels, m)
+            cuts = sorted(rng.sample(range(1, m), rng.randint(0, m - 1)))
+            terms = [order[a:b] for a, b in zip([0, *cuts], [*cuts, m])]
+            layered = stg(_subseq(table, *terms))
+            rows = list(Digraph.from_arrows(table, layered.arrows()).rows)
+            if k % 2:
+                rows[rng.randrange(m)] ^= 1 << rng.randrange(m)
+        yield Digraph(table, tuple(rows))
+
+
+def test_relation_core_matches_oracles():
+    rng = random.Random(0)
+    layered = 0
+    for g in _relation_core_graphs(rng):
+        labels, arrows = g.labels.labels, g.arrows()
+        reach = reachable_pairs_bfs(labels, arrows)
+        dag = all((v, v) not in reach for v in labels)
+        assert is_dag(g) == dag
+        reduced = _result_or_error(transitive_reduction, g)
+        if dag:
+            cover = tr_arrow_deletion(labels, arrows)
+            assert set(reduced.arrows()) == cover
+        else:
+            message = "transitive reduction is only unique for acyclic graphs"
+            assert reduced == (CyclicInput, message)
+        expected = dag and set(arrows) == cover
+        assert is_quasi_skeleton(g) == is_quasi_skeleton_shortcut(g) == expected
+        layers = _result_or_error(gts, g)
+        assert layers == _result_or_error(gts_peel, g)
+        if isinstance(layers, SubsetSequence):
+            layered += 1
+            back = stg(layers)
+            assert back == stg_by_position(layers)
+            assert Digraph.from_arrows(g.labels, back.arrows()) == g
+    assert layered >= 68  # the 18 on <= 3 labels and the 50 unflipped
+    universe = LabelTable(tuple("ABCDEF"))
+    for _ in range(300):
+        terms = [rng.sample("ABCDEF", rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        events = rng.choices("ABCDEF", k=rng.randint(0, 4))
+        for s in (_subseq(universe, *terms), EventSequence(universe, tuple(events))):
+            assert _result_or_error(stg, s) == _result_or_error(stg_by_position, s)
 
 
 def test_consistency_worked_examples():
