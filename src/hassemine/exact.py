@@ -22,12 +22,14 @@ MAX_DIGITS = 4300
 
 def exact_fraction(value) -> Fraction:
     """value as a Fraction; raises what Fraction raises on non-numbers,
-    and ValueError on a string past MAX_DIGITS (see the module docstring)
-    or with a zero denominator, such as "1/0".
+    TypeError on a bool, and ValueError on a string past MAX_DIGITS (see
+    the module docstring) or with a zero denominator, such as "1/0".
 
     A string without "/" is sized through Decimal before it is expanded;
     "p/q" holds two plain integers, which int() already bounds.
     """
+    if isinstance(value, bool):  # Fraction would read True as 1
+        raise TypeError(f"not a number: {value!r}")
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str) and "/" not in value:

@@ -10,10 +10,10 @@ matrix; `seq_to_matrix` and `common_matrix` stay importable from here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -76,23 +76,26 @@ def _union(masks) -> int:
     return union
 
 
-def _swap_meets(combo: tuple[int, ...], r: int, columns, meets) -> bool:
+def _swap_meets(combo: tuple[int, ...], r: int, columns, need: int, covered_count) -> bool:
     """Whether another candidate dominates the minimal combination combo:
     the swap test in hasse_cluster's docstring. columns holds the column
-    masks, and meets tells whether a union of masks meets the threshold."""
+    masks; a union meets the threshold iff covered_count gives it at
+    least need. When no single sub-mask meets with the other members and
+    k > 1, whether at most k of them do is asked of the minimal-combination
+    search, on the bits that the sub-masks add to the other members'
+    union."""
     k = r - len(combo) + 1
     for i, msk in enumerate(combo):
         rest = _union(combo[:i] + combo[i + 1 :])
         subs = {msk & col for col in columns} - {msk}
-        if not meets(rest | _union(subs)):
+        if covered_count(rest | _union(subs)) < need:
             continue
-        if any(meets(rest | sub) for sub in subs):
+        if any(covered_count(rest | sub) >= need for sub in subs):
             return True
         if k > 1:
-            maximal = [a for a in subs if not any(a != b and a & ~b == 0 for b in subs)]
-            if len(maximal) <= k or any(
-                meets(rest | _union(pick)) for pick in combinations(maximal, k)
-            ):
+            gains = {sub & ~rest for sub in subs} - {0}
+            short = need - covered_count(rest)
+            if next(_minimal_combinations(gains, k, short, covered_count), None):
                 return True
     return False
 
@@ -122,38 +125,52 @@ def _coverage_counter(mult: list[int]):
     return covered_count
 
 
-def _minimal_combinations(masks: list[int], r: int, need: int, covered_count):
+def _minimal_combinations(masks, r: int, need: int, covered_count):
     """Yield (combo, covered) for every minimal combination of at most r of
-    the ascending masks: its union covers at least need, and the union of
-    any of its proper sub-combinations covers less. combo ascends, as masks
-    do. The critical-extension search in hasse_cluster's docstring."""
+    the distinct masks, given in any order: its union covers at least
+    need, and the union of any of its proper sub-combinations covers less.
+    combo ascends. The critical-extension search with the gain bound in
+    hasse_cluster's docstring."""
     if need <= 0:  # the empty combination already meets
         return
-    own = [covered_count(msk) for msk in masks]
+    masks = sorted(masks, key=covered_count, reverse=True)
+    r = min(r, _union(masks).bit_count())  # each member holds a private bit
+
+    def minus_own(msk: int) -> int:  # ascends along masks
+        return -covered_count(msk)
+
     # combo, its union and coverage, each member's private bits, next index
     stack = [((), 0, 0, (), 0)]
     while stack:
         combo, union, cov, private, start = stack.pop()
-        last = len(combo) + 1 == r
+        more = r - len(combo) - 1  # members a child may still take
         short = need - cov
-        for k in range(start, len(masks)):
-            if last and own[k] < short:  # its gain cannot cover the shortfall
-                continue
+        end = len(masks)
+        if not more:  # a last member's gain, at most its own coverage, covers short
+            end = bisect_left(masks, 1 - short, start, key=minus_own)
+        largest, held = [], 0  # the `more` largest gains after k, ascending
+        for k in range(end - 1, start - 1, -1):
             msk = masks[k]
             gain = msk & ~union
             if not gain:
                 continue
-            for p in private:
-                if not p & ~msk:  # a member would lose its last private bit
-                    break
-            else:
-                got = covered_count(gain)
-                if got < short:
-                    if not last:
+            got = covered_count(gain)
+            if got + held >= short:  # else no combination through this child meets
+                for p in private:
+                    if not p & ~msk:  # a member would lose its last private bit
+                        break
+                else:
+                    if got < short:
                         kept = tuple(p & ~msk for p in private) + (gain,)
                         stack.append((combo + (msk,), union | msk, cov + got, kept, k + 1))
-                elif all(got - covered_count(p & ~msk) < short for p in private):
-                    yield combo + (msk,), cov + got
+                    elif all(got - covered_count(p & ~msk) < short for p in private):
+                        yield tuple(sorted(combo + (msk,))), cov + got
+            if len(largest) < more:
+                insort(largest, got)
+                held += got
+            elif more and got > largest[0]:
+                held += got - largest.pop(0)
+                insort(largest, got)
 
 
 def hasse_cluster(
@@ -192,33 +209,48 @@ def hasse_cluster(
 
     The minimal combinations are found by critical extension, as in the
     MMCS minimal-transversal search (Murakami & Uno 2014): a depth-first
-    search over the ascending group masks. The private bits of a member
-    are the bits of its mask that no other member covers. A combination
-    is extended, by a mask after its last, only while its union fails t,
-    and an extension is dropped if the new mask brings no new bit or
-    leaves an old member without a private bit. Every prefix P of a
-    minimal combination C is reached: P fails, being a proper
-    sub-combination of C; each member of C has a private bit in C, or
-    dropping it would leave C's union and coverage unchanged; and a
-    member's private bits in C lie among its private bits in P, which has
-    fewer other members. Extensions only add members, so a member that
-    has lost its private bits never gets one back, and the dropped
-    branches hold no minimal combination. Dropping a member from a
-    combination removes exactly its private bits from the union. So a
-    meeting combination is minimal iff, for each old member, its coverage
-    less that of the member's private bits fails t; dropping the new
-    member gives back the parent's union, which fails by construction.
-    The members' private bits are nonempty and disjoint, so no combination
-    the search reaches holds more members than there are distinct
-    matrices, and the search stops there, whatever r is.
+    search over the group masks in one fixed order, descending coverage
+    (see below). The private bits of a member are the bits of its mask
+    that no other member covers. A combination is extended, by a mask
+    after its last, only while its union fails t, and an extension is
+    dropped if the new mask brings no new bit or leaves an old member
+    without a private bit. Every prefix P of a minimal combination C, in
+    the search order, is reached, whatever that fixed order is: P fails,
+    being a proper sub-combination of C; each member of C has a private
+    bit in C, or dropping it would leave C's union and coverage
+    unchanged; and a member's private bits in C lie among its private
+    bits in P, which has fewer other members. Extensions only add
+    members, so a member that has lost its private bits never gets one
+    back, and the dropped branches hold no minimal combination. Dropping
+    a member from a combination removes exactly its private bits from the
+    union. So a meeting combination is minimal iff, for each old member,
+    its coverage less that of the member's private bits fails t; dropping
+    the new member gives back the parent's union, which fails by
+    construction. The members' private bits are nonempty and disjoint, so
+    no combination holds more members than its masks cover bits, at most
+    the distinct matrices, and the search caps r there, whatever r is.
 
     Coverage is an integer: the sum of the multiplicities of the matrices
     in a union, read a byte at a time from tables, and it meets t iff it
     reaches need = ceil(t * total / 100). A child's coverage is its
-    parent's plus that of the bits it gains. At the last level, where a
-    child cannot be extended, it is skipped when its group's own coverage
-    is below the shortfall, need less the parent's coverage. The search
-    keeps no state but its stack, whose depth is bounded as above.
+    parent's plus that of the bits it gains. Coverage is a weighted set
+    union, so it is submodular: a mask's gain over a union never grows as
+    the union grows. A child at depth s + 1, by mask k, may take at most
+    r - s - 1 more masks after k, so every combination below it covers at
+    most its parent's coverage plus the gain of k plus the sum of the
+    r - s - 1 largest gains after k, all over the parent's union: the
+    greedy bound of Nemhauser, Wolsey & Fisher (1978). A child whose bound
+    is below need holds no minimal combination and is dropped, which is
+    branch and bound (Land & Doig 1960). Each node reads the gain of
+    every later mask and sums the largest from the right, keeping a short
+    ascending list of them. The bound bites when the large gains come
+    first, so the masks are visited in descending order of their own
+    coverage, and each combination is sorted before it is yielded. A
+    last member must cover the shortfall with its gain alone, and a gain
+    is at most its mask's own coverage, so at the last level only the
+    masks before the first whose own coverage falls short are read; a
+    bisection finds it. The search keeps no state but its stack, whose
+    depth is bounded as above.
 
     Both modes find the groups without a catalog. If h has mask M != 0,
     then h lies inside the AND of M, and every matrix holding that AND
@@ -275,11 +307,15 @@ def hasse_cluster(
     members, each a closed mask. It is not inside C minus M_i, which
     fails by C's minimality, so it holds a proper specialization of b_i:
     it differs from C and dominates it.
-    The checks run cheapest first: member i is passed over when the other
-    masks with all of its sub-masks fail; then each sub-mask is tried on
-    its own; only then every k of the maximal sub-masks. So a
-    combination costs O(s * m^2) mask operations, plus at most
-    C(m(m-1), k) unions per member when k > 1.
+    The checks run cheapest first, at O(m^2) mask operations each:
+    member i is passed over when the other masks with all of its
+    sub-masks fail; then each sub-mask is tried on its own. Only then,
+    when k > 1, is the question put to the minimal-combination search:
+    over the bits the sub-masks add to the others' union, with need less
+    the others' coverage, some combination of at most k meets iff a
+    minimal one does, so the first one found settles it. The gain bound
+    drops a pick of k sub-masks that cannot cover the shortfall without
+    trying it.
 
     Literal mode's candidates are the sets C of 1..r strict orders whose
     coverage meets t, and C is output iff no other candidate C' lies in
@@ -340,14 +376,11 @@ def hasse_cluster(
     need = -(-frac.numerator * total // (100 * frac.denominator))
     covered_count = _coverage_counter(mult)
 
-    def meets(mask: int) -> bool:
-        return covered_count(mask) >= need
-
     def keeps(combo: tuple[int, ...]) -> bool:
         """(c) above in literal mode below r members, else the swap test."""
         if mode == "literal" and len(combo) < r:
             return all(top_of(msk).bit_count() == m * (m - 1) // 2 for msk in combo)
-        return not _swap_meets(combo, r, columns, meets)
+        return not _swap_meets(combo, r, columns, need, covered_count)
 
     candidates: list[tuple[tuple[int, ...], int]] = []  # (member flats, covered)
     if mode == "literal" and frac == 0:  # (e) above

@@ -17,7 +17,10 @@ distinct sequence matrix and took each group's last member as its top;
 the literal-mode search that scanned the catalog, took every pick of
 every group combination and ran the global filter; the size-by-size
 search for minimal group combinations that tried every combination of
-1..r group masks before the critical-extension search; the closed-set
+1..r group masks before the critical-extension search; that search as
+it ran before the gain bound, over the ascending masks with a last-level
+skip on each group's own coverage; the swap test that tried every k of
+the maximal sub-masks before it asked that search; the closed-set
 search (prefix-preserving closure extension) that found the groups
 before the fold over the column masks; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
@@ -710,6 +713,68 @@ def minimal_combinations_by_size(groups, r, meets):
             ):
                 found.append(combo)
     return found
+
+
+def minimal_combinations_ascending(masks, r, need, covered_count):
+    """The critical-extension search as hasse_cluster ran it before the
+    gain bound: over the masks in ascending order, skipping a group at the
+    last level when its own coverage is below the shortfall. masks must
+    ascend. Yields (combo, covered), combo ascending."""
+    if need <= 0:
+        return
+    own = [covered_count(msk) for msk in masks]
+    stack = [((), 0, 0, (), 0)]
+    while stack:
+        combo, union, cov, private, start = stack.pop()
+        last = len(combo) + 1 == r
+        short = need - cov
+        for k in range(start, len(masks)):
+            if last and own[k] < short:
+                continue
+            msk = masks[k]
+            gain = msk & ~union
+            if not gain:
+                continue
+            for p in private:
+                if not p & ~msk:
+                    break
+            else:
+                got = covered_count(gain)
+                if got < short:
+                    if not last:
+                        kept = tuple(p & ~msk for p in private) + (gain,)
+                        stack.append((combo + (msk,), union | msk, cov + got, kept, k + 1))
+                elif all(got - covered_count(p & ~msk) < short for p in private):
+                    yield combo + (msk,), cov + got
+
+
+def swap_meets_by_picks(combo, r, columns, meets):
+    """The swap test as hasse_cluster ran it before it asked the
+    minimal-combination search: with k = r - len(combo) + 1, for each
+    member, each sub-mask on its own with the other members, then every k
+    of the maximal sub-masks. meets takes a union mask."""
+
+    def union(masks):
+        got = 0
+        for msk in masks:
+            got |= msk
+        return got
+
+    k = r - len(combo) + 1
+    for i, msk in enumerate(combo):
+        rest = union(combo[:i] + combo[i + 1 :])
+        subs = {msk & col for col in columns} - {msk}
+        if not meets(rest | union(subs)):
+            continue
+        if any(meets(rest | sub) for sub in subs):
+            return True
+        if k > 1:
+            maximal = [a for a in subs if not any(a != b and a & ~b == 0 for b in subs)]
+            if len(maximal) <= k or any(
+                meets(rest | union(pick)) for pick in combinations(maximal, k)
+            ):
+                return True
+    return False
 
 
 def order_rows_oracle(s, j_labels):

@@ -302,6 +302,10 @@ def test_dbscan_negative_eps_rejected():
     with pytest.raises(ValueError, match="eps"):
         dbscan(TYPE_POINTS, Fraction(-1, 2))
     assert dbscan(TYPE_POINTS, -0.0) == dbscan(TYPE_POINTS, 0)
+    # a bool is not a radius, though Fraction would read True as 1
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            dbscan(TYPE_POINTS, flag)
 
 
 def test_hierarchical_two_points():
@@ -362,6 +366,9 @@ def test_cut_exact_threshold_semantics():
     assert cut(d, Fraction(7, 2)) == [[0, 1, 2]]
     assert cut(d, 3.49) == [[0, 1], [2]]
     assert cut(d, 3.5) == [[0, 1, 2]]
+    for flag in (True, False):  # not a height, though Fraction reads True as 1
+        with pytest.raises(TypeError):
+            cut(d, flag)
 
 
 def test_dendrogram_validation():

@@ -8,6 +8,8 @@ Claims covered:
 - each caller keeps its own error type for values that are not numbers;
 - a zero denominator ("1/0", "0/0") is a ValueError, not a
   ZeroDivisionError;
+- a bool is a TypeError, although Fraction reads True as 1, in every
+  caller;
 - a string whose numerator or denominator needs more than 4300 digits is
   refused at once, before Fraction expands it.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from hassemine import EventSequence, InvalidThreshold, LabelTable
-from hassemine.baselines import Dendrogram, cut
+from hassemine.baselines import Dendrogram, MatrixPointSet, cut, dbscan
 from hassemine.exact import exact_fraction
 from hassemine.game import corrupt_sequences
 from hassemine.mining import hasse_cluster
@@ -62,6 +64,21 @@ def test_callers_read_floats_exactly():
     assert sum(m != s for m, s in zip(mutated, seqs)) == 1
     assert cut(Dendrogram(2, ((0, 1, Fraction(1, 10)),)), 0.1) == [[0, 1]]
     assert hasse_cluster(seqs, ("a", "b"), t=0.1, r=1).threshold == Fraction(1, 10)
+
+
+def test_bools_are_refused():
+    seqs = [EventSequence(TABLE, ("a",))]
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="not a number"):
+            exact_fraction(flag)
+        with pytest.raises(InvalidThreshold, match="is not a number"):
+            hasse_cluster(seqs, ("a",), t=flag, r=1)
+        with pytest.raises(TypeError):
+            corrupt_sequences(seqs, flag, seed=0)
+        with pytest.raises(TypeError):
+            cut(Dendrogram(1, ()), flag)
+        with pytest.raises(TypeError):
+            dbscan(MatrixPointSet.from_sequences(seqs, ("a",)), flag)
 
 
 def test_caller_error_types():

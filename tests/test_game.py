@@ -385,6 +385,10 @@ def test_corrupt_fraction_edges():
         corrupt(episodes, 1.5, seed=0)
     with pytest.raises(ValueError):
         corrupt(episodes, -0.1, seed=0)
+    # a bool is not a fraction, though Fraction would read True as 1
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            corrupt(episodes, flag, seed=0)
     with pytest.raises(ValueError):
         corrupt(episodes, 0.5, seed=0, ops=("scramble",))
     with pytest.raises(ValueError):

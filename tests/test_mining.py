@@ -24,10 +24,14 @@ Claims covered:
 - literal mode reads the same groups and builds no catalog, and outputs
   what the catalog scan with every pick and the filter did; at t = 0 it
   outputs every linear order on its own;
-- the critical-extension search yields exactly the minimal group
-  combinations that the size-by-size search over every combination of
-  1..r group masks found, and its byte tables count coverage as a plain
-  bit sum does;
+- the critical-extension search with the gain bound yields exactly the
+  minimal group combinations that the size-by-size search over every
+  combination of 1..r group masks found, and that the search without the
+  bound over the ascending masks found, whatever order the masks come
+  in; its byte tables count coverage as a plain bit sum does;
+- the swap test, which asks that search whether at most k sub-masks
+  meet, agrees with the scan over every k of the maximal sub-masks, and
+  on the 30 ordered pairs of six labels it returns at once for any r;
 - the combination search stops at the number of groups and at the number
   of distinct sequence matrices, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
@@ -81,9 +85,11 @@ from oracles import (
     hasse_cluster_closure_undominated,
     hasse_cluster_every_pick,
     hasse_cluster_literal_catalog,
+    minimal_combinations_ascending,
     minimal_combinations_by_size,
     strict_orders_bruteforce,
     strict_orders_filtering,
+    swap_meets_by_picks,
 )
 
 E_UNIVERSE = LabelTable(("e1", "e2", "e5", "e6", "e11"))
@@ -365,6 +371,12 @@ def test_hasse_cluster_validation():
         hasse_cluster(seqs, ("e1",), t=-1, r=1)
     with pytest.raises(InvalidThreshold):
         hasse_cluster(seqs, ("e1",), t=100.5, r=1)
+    # bools are refused for t as for r, though Fraction reads True as 1
+    for flag in (True, False):
+        with pytest.raises(InvalidThreshold, match="is not a number"):
+            hasse_cluster(seqs, ("e1",), t=flag, r=1)
+        with pytest.raises(InvalidThreshold):
+            hasse_cluster(seqs, ("e1",), t=100, r=flag)
     with pytest.raises(InvalidThreshold):
         hasse_cluster(seqs, ("e1",), t=100, r=0)
     with pytest.raises(InvalidMode):
@@ -745,7 +757,10 @@ def test_size_cap_beyond_the_distinct_matrices():
 
 def _spied_search(monkeypatch) -> list:
     """Record each call of the critical-extension search: its arguments
-    and the (combo, covered) pairs it yielded."""
+    and the (combo, covered) pairs it yielded. The swap test's inner
+    searches at k > 1, over the bits that a member's sub-masks add, are
+    recorded too, after the outer search of their hasse_cluster call;
+    they are minimal-combination searches as well."""
     search = mining._minimal_combinations
     calls = []
 
@@ -835,20 +850,70 @@ def test_critical_extension_matches_size_by_size_oracle(monkeypatch):
 
 
 def test_critical_extension_on_arbitrary_masks():
-    # The search reads no group structure: any ascending family of
-    # distinct nonzero masks, any multiplicities and any need will do.
+    # The search reads no group structure: any family of distinct nonzero
+    # masks, in any order, any multiplicities and any need will do. It
+    # sorts the masks by coverage itself, and each combination ascends.
     rng = random.Random(23)
-    for _ in range(2000):
+    for trial in range(2000):
         d = rng.randint(1, 10)
         mult = [rng.randint(1, 9) for _ in range(d)]
         covered_count = mining._coverage_counter(mult)
         masks = sorted({rng.randint(1, (1 << d) - 1) for _ in range(rng.randint(1, 12))})
         need = rng.randint(0, sum(mult) + 1)
         r = rng.randint(1, 7)
-        found = list(mining._minimal_combinations(masks, r, need, covered_count))
+        given = masks[:]
+        if trial % 2:
+            rng.shuffle(given)
+        found = list(mining._minimal_combinations(given, r, need, covered_count))
         want = minimal_combinations_by_size(masks, r, lambda u: covered_count(u) >= need)
         assert sorted(combo for combo, _ in found) == sorted(want), (masks, mult, need, r)
+        before = minimal_combinations_ascending(masks, r, need, covered_count)
+        assert sorted(found) == sorted(before), (masks, mult, need, r)
+        assert all(list(combo) == sorted(combo) for combo, _ in found)
         assert all(cov == covered_count(mining._union(combo)) for combo, cov in found)
+
+
+def test_swap_test_matches_pick_scan_oracle():
+    # On minimal combinations of random masks against random columns, for
+    # k = 1..4, the swap test that asks the minimal-combination search
+    # agrees with the one that tried every k of the maximal sub-masks.
+    rng = random.Random(41)
+    verdicts = {k: set() for k in (1, 2, 3, 4)}
+    for _ in range(300):
+        d = rng.randint(2, 10)
+        mult = [rng.randint(1, 9) for _ in range(d)]
+        covered_count = mining._coverage_counter(mult)
+        columns = {rng.randint(1, (1 << d) - 1) for _ in range(rng.randint(1, 14))}
+        masks = {rng.randint(1, (1 << d) - 1) for _ in range(rng.randint(1, 8))}
+        need = rng.randint(1, sum(mult))
+
+        def meets(union):
+            return covered_count(union) >= need
+
+        for combo in minimal_combinations_by_size(masks, 4, meets):
+            for k in (1, 2, 3, 4):
+                r = len(combo) + k - 1
+                got = mining._swap_meets(combo, r, columns, need, covered_count)
+                assert got == swap_meets_by_picks(combo, r, columns, meets), (combo, r, columns)
+                verdicts[k].add(got)
+    assert all(seen == {False, True} for seen in verdicts.values())
+
+
+def test_swap_test_on_every_ordered_pair():
+    # The 30 sequences (a, b) over the ordered pairs of six labels at
+    # t = 100: each single arrow covers one sequence, so {arrowless} is
+    # dominated only when a swap of 30 sub-masks fits, at r >= 30. Trying
+    # every k of the 30 maximal sub-masks took seconds at r = 7 and did
+    # not finish at r = 12.
+    j = ("a", "b", "c", "d", "e", "f")
+    universe = LabelTable(j)
+    seqs = [EventSequence(universe, p) for p in permutations(j, 2)]
+    arrowless = BoolMatrix(universe, (0,) * 6)
+    for r in (12, 29):
+        out = hasse_cluster(seqs, j, 100, r)
+        assert out.clusters == ((arrowless,),) and out.covered == (30,)
+    out = hasse_cluster(seqs, j, 100, 30)
+    assert len(out.clusters) == 1 and len(out.clusters[0]) == 30
 
 
 def test_coverage_tables_match_bit_sums():
