@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, EmptyInput
 from .exact import exact_fraction
 from .graphs import BoolMatrix
-from .sequences import AnySequence, _analysis_table, _distinct, _encode, common_matrix
+from .sequences import AnySequence, _analysis_table, _distinct, _order_keys, common_matrix
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,10 @@ class MatrixPointSet:
         points = ()
         if seqs:  # an empty corpus needs no analysis labels
             table = _analysis_table(j_labels)
-            keys, slots = _encode(seqs, table)
-            mats = {rows: BoolMatrix(table, rows) for rows, _ in keys}
-            points = tuple(mats[keys[k][0]] for k in slots)
+            uniq, slots = _distinct(seqs)
+            rows = [key[0] for key in _order_keys(uniq, table)]
+            mats = {r: BoolMatrix(table, r) for r in set(rows)}
+            points = tuple(mats[rows[k]] for k in slots)
         if names is None:
             names = tuple(str(i) for i in range(len(points)))
         return cls(points, tuple(names))

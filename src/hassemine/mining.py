@@ -35,7 +35,7 @@ from .graphs import (
     _transpose,
     _unpack_rows,
 )
-from .sequences import AnySequence, _analysis_table, _encode, flattenings
+from .sequences import AnySequence, _analysis_table, _encode, _order_keys, flattenings
 from .sequences import common_matrix, seq_to_matrix  # re-exported
 
 
@@ -352,8 +352,9 @@ def hasse_cluster(
     _check_label_count(m)
 
     # Per matrix, not per key: each distinct matrix gets one mask bit.
-    keys, slots = _encode(seqs, table)
-    counts = Counter(keys[k][0] for k in slots)
+    counts: Counter = Counter()
+    for (rows, _), c in _encode(seqs, table).items():
+        counts[rows] += c
     mult = list(counts.values())
     d_flats = [_pack_rows(rows, m) for rows in counts]
 
@@ -446,38 +447,59 @@ class RelevanceTable:
         return rows
 
 
+def _episode_universe(s: AnySequence, label, universe):
+    """The universe of a valid episode (s, label); `universe` is that of
+    the episodes before it, None for the first."""
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError(f"class label must be 0 or 1, got {label!r}")
+    if universe is None:
+        return s.universe
+    if s.universe is not universe and s.universe != universe:
+        raise LabelMismatch("all episodes must share one universe")
+    return universe
+
+
 def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTable:
     """Score ordered label pairs by how exclusively winners exhibit them.
 
-    episodes pairs each sequence with a class label (1 = win, 0 = lose);
-    both classes must be present. The score of (i, j) is the winners' rate
-    of 'both occur, i entirely first' divided by the losers' rate.
+    episodes pairs each sequence with a class label, the int 1 (win) or
+    0 (lose); both classes must be present. The score of (i, j) is the
+    winners' rate of 'both occur, i entirely first' divided by the losers'
+    rate. Each distinct (sequence, label) pair is checked once, in
+    first-seen order, and each distinct sequence is encoded once.
     """
     episodes = list(episodes)
+    try:
+        # the label's type is part of the key, so True is not counted as 1
+        pairs = Counter((s, type(label), label) for s, label in episodes)
+    except (TypeError, ValueError):
+        # an episode that is not a pair, or an unhashable label: checking
+        # the episodes in order raises the first fault among them
+        universe = None
+        for s, label in episodes:
+            universe = _episode_universe(s, label, universe)
+        raise
     universe = None
-    n_win = n_lose = 0
-    for s, label in episodes:
-        if label not in (0, 1):
-            raise ValueError(f"class label must be 0 or 1, got {label!r}")
-        if universe is None:
-            universe = s.universe
-        elif s.universe is not universe and s.universe != universe:
-            raise LabelMismatch("all episodes must share one universe")
-        if label == 1:
-            n_win += 1
-        else:
-            n_lose += 1
+    n_class = [0, 0]  # [lose, win]
+    for (s, _, label), c in pairs.items():
+        universe = _episode_universe(s, label, universe)
+        n_class[label] += c
+    n_lose, n_win = n_class
     if n_win == 0 or n_lose == 0:
         raise MissingClass("need at least one episode of each class")
     m = len(universe)
-    keys, slots = _encode([s for s, _ in episodes], _analysis_table(universe.labels))
-    win_counts = [[0] * m for _ in range(m)]
-    lose_counts = [[0] * m for _ in range(m)]
-    for (k, label), c in Counter(zip(slots, (lab for _, lab in episodes))).items():
-        target = win_counts if label == 1 else lose_counts
-        for i in range(m):
-            for j in _bit_indices(keys[k][0][i]):
+    uniq = dict.fromkeys(s for s, _, _ in pairs)
+    keys = dict(zip(uniq, _order_keys(uniq, _analysis_table(universe.labels))))
+    tally: Counter = Counter()
+    for (s, _, label), c in pairs.items():
+        tally[keys[s][0], label] += c
+    counts = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # [lose, win]
+    for (rows, label), c in tally.items():
+        target = counts[label]
+        for i, row in enumerate(rows):
+            for j in _bit_indices(row):
                 target[i][j] += c
+    lose_counts, win_counts = counts
     return RelevanceTable(
         universe,
         n_win,

@@ -8,17 +8,22 @@ encoding.
 One relation underlies both the per-sequence order matrix and consistency:
 label i is ordered before label j when both occur and every occurrence of
 i comes strictly before every occurrence of j. `_order_key` computes it
-once per sequence, as (order rows, occurrence mask). A corpus has one
-encoding, `_encode`: each distinct sequence is encoded once, and the corpus
-becomes its distinct keys plus each sequence's key. The miner, relevance
-scoring and the baselines' point sets all read it. Its public readers live
-here: `seq_to_matrix`, the order matrix of one sequence, and
+from one scan of a sequence, as (order rows, occurrence mask), and
+`_order_keys` encodes a list of sequences after checking the labels once
+against each distinct universe. A corpus has one encoding, `_encode`: its
+distinct keys in first-seen order, each with its multiplicity, from one
+count of the sequences and one key per distinct sequence. The miner
+folds it into matrices with counts; relevance scoring keys the distinct
+(sequence, label) pairs and the baselines' point sets the distinct
+sequences, the one reader that needs a point per sequence. Its public
+readers live here: `seq_to_matrix`, the order matrix of one sequence, and
 `common_matrix`, the pairs ordered alike across a collection, which the
 baselines' per-cluster common matrices call once per cluster.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -130,18 +135,39 @@ def _analysis_table(j_labels: Iterable[str]) -> LabelTable:
 
 
 def _order_key(s: AnySequence, table: LabelTable) -> tuple[tuple[int, ...], int]:
-    """(order rows, mask of the table labels that occur) of one sequence."""
-    for lab in table:
-        if lab not in s.universe:
-            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
-    pos = s.positions()
-    spans = [(i, min(p), max(p)) for i, lab in enumerate(table) if (p := pos.get(lab))]
-    rows = [0] * len(table)
-    for i, _, last in spans:
-        for j, first, _ in spans:
-            if last < first:  # never for j == i
-                rows[i] |= 1 << j
-    return tuple(rows), sum(1 << i for i, _, _ in spans)
+    """(order rows, mask of the table labels that occur) of one sequence,
+    from one scan of its events or terms; the universe is not checked.
+
+    `seen` is the mask of the table labels met so far, and `upto[i]` its
+    value at label i's last occurrence, its own term included. Row i is
+    then the labels met only after that: those whose first occurrence
+    comes after i's last.
+    """
+    index = table.index
+    seen = 0
+    upto = [-1] * len(table)  # an absent label's row is seen & ~-1 == 0
+    if isinstance(s, EventSequence):
+        for i in map(index.get, s.events):
+            if i is not None:
+                seen |= 1 << i
+                upto[i] = seen
+    else:
+        for term in s.terms:
+            present = [i for i in map(index.get, term) if i is not None]
+            seen |= sum(1 << i for i in present)
+            for i in present:
+                upto[i] = seen
+    return tuple([seen & ~u for u in upto]), seen
+
+
+def _order_keys(seqs, table: LabelTable) -> list[tuple[tuple[int, ...], int]]:
+    """_order_key of each sequence. The table is first checked against each
+    distinct universe once, told apart by identity, in first-seen order."""
+    for universe in {id(s.universe): s.universe for s in seqs}.values():
+        for lab in table.labels:
+            if lab not in universe.index:
+                raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
+    return [_order_key(s, table) for s in seqs]
 
 
 def _distinct(items) -> tuple[list, list[int]]:
@@ -151,13 +177,16 @@ def _distinct(items) -> tuple[list, list[int]]:
     return list(index), slots
 
 
-def _encode(seqs: list[AnySequence], table: LabelTable):
-    """(keys, slots): seqs[i] has key keys[slots[i]], keys are the distinct
-    _order_key results in first-seen order, and key k's multiplicity is
-    slots.count(k). Each distinct sequence is checked and encoded once."""
-    uniq, seq_slots = _distinct(seqs)
-    keys, key_slots = _distinct([_order_key(s, table) for s in uniq])
-    return keys, [key_slots[k] for k in seq_slots]
+def _encode(seqs: Iterable[AnySequence], table: LabelTable) -> Counter:
+    """The corpus as its distinct _order_key results, in first-seen order,
+    each mapped to its multiplicity (the number of sequences with that
+    key). One count finds the distinct sequences; each is encoded once,
+    after the table is checked once against each distinct universe."""
+    counts = Counter(seqs)
+    keys: Counter = Counter()
+    for key, c in zip(_order_keys(counts, table), counts.values()):
+        keys[key] += c
+    return keys
 
 
 def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
@@ -168,7 +197,7 @@ def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
     transitive, with zero rows and columns for absent labels.
     """
     table = _analysis_table(j_labels)
-    return BoolMatrix(table, _order_key(s, table)[0])
+    return BoolMatrix(table, _order_keys([s], table)[0][0])
 
 
 def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolMatrix:
@@ -186,7 +215,7 @@ def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolM
     table = _analysis_table(j_labels)
     witness = [0] * len(table)
     veto = [0] * len(table)
-    for rows, occurring in _encode(seqs, table)[0]:
+    for rows, occurring in _encode(seqs, table):
         for i in _bit_indices(occurring):
             witness[i] |= rows[i]
             veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it
@@ -271,7 +300,7 @@ def is_consistent(s: AnySequence, w: Digraph) -> bool:
     For each pair of labels x, y both occurring in s with a path x -> y in w,
     every occurrence of x must precede every occurrence of y.
     """
-    rows, occ = _order_key(s, w.labels)
+    rows, occ = _order_keys([s], w.labels)[0]
     closed = _closure_rows(w.rows)
     return all(closed[u] & occ & ~rows[u] == 0 for u in _bit_indices(occ))
 

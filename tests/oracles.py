@@ -25,7 +25,12 @@ search (prefix-preserving closure extension) that found the groups
 before the fold over the column masks; the subset-filtering
 strict order build the catalog used before it grew ideals and filters; the
 per-sequence order matrix, common-matrix loop and relevance tally that ran
-before the corpus was encoded once per distinct sequence; the relevance
+before the corpus was encoded once per distinct sequence; the order key
+that read each label's span from `positions()`, the corpus encoding as
+distinct keys plus each sequence's slot among them, and the relevance
+scoring that checked every episode and tallied the (slot, label) pairs,
+as they ran before one scan per key, keys with multiplicities and one
+count of the distinct (sequence, label) pairs; the relevance
 row order that keyed each row by its rank and label positions before one
 stable sort on the rank; the sequence
 file parser that decoded, checked and built a sequence for every line,
@@ -50,10 +55,13 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 from hassemine import (
     Digraph,
     EmptyTerm,
+    LabelMismatch,
     LabelNotInUniverse,
     LabelTable,
+    MissingClass,
     NotLayered,
     NotSimple,
+    RelevanceTable,
     SequenceRecords,
     r_set,
     restrict,
@@ -64,6 +72,7 @@ from hassemine.graphs import _bit_indices, _closure_rows, _pack_rows, _transpose
 from hassemine.sequences import (
     EventSequence,
     SubsetSequence,
+    _analysis_table,
     as_subset_sequence,
     flattenings,
     is_consistent,
@@ -825,6 +834,80 @@ def relevance_counts_oracle(episodes):
                 if rows[i] >> j & 1:
                     counts[label][i][j] += 1
     return tuple(tuple(tuple(row) for row in counts[c]) for c in (1, 0))
+
+
+def order_key_positions(s, table):
+    """(order rows, occurrence mask) of one sequence as `_order_key` built
+    it before it scanned the sequence once: the table is checked against
+    the sequence's universe, then each label's span is read from
+    `positions()` and every pair of spans is compared."""
+    for lab in table:
+        if lab not in s.universe:
+            raise LabelNotInUniverse(f"label {lab!r} not in sequence universe")
+    pos = s.positions()
+    spans = [(i, min(p), max(p)) for i, lab in enumerate(table) if (p := pos.get(lab))]
+    rows = [0] * len(table)
+    for i, _, last in spans:
+        for j, first, _ in spans:
+            if last < first:  # never for j == i
+                rows[i] |= 1 << j
+    return tuple(rows), sum(1 << i for i, _, _ in spans)
+
+
+def encode_slots(seqs, table):
+    """(keys, slots), the corpus encoding as it was before it kept only the
+    distinct keys and their multiplicities: seqs[i] has key
+    keys[slots[i]], keys are the distinct order keys in first-seen order,
+    and key k's multiplicity is slots.count(k). Each distinct sequence is
+    checked and encoded once."""
+
+    def distinct(items):
+        index = {}
+        slots = [index.setdefault(x, len(index)) for x in items]
+        return list(index), slots
+
+    uniq, seq_slots = distinct(seqs)
+    keys, key_slots = distinct([order_key_positions(s, table) for s in uniq])
+    return keys, [key_slots[k] for k in seq_slots]
+
+
+def relevance_scores_by_slots(episodes):
+    """relevance_scores as it was before it counted the distinct (sequence,
+    label) pairs: every episode is checked in order (a label equal to 0 or
+    1 passes, True and 1.0 too), the corpus is encoded as keys plus slots,
+    and each distinct (slot, label) pair adds its count to the tallies."""
+    episodes = list(episodes)
+    universe = None
+    n_win = n_lose = 0
+    for s, label in episodes:
+        if label not in (0, 1):
+            raise ValueError(f"class label must be 0 or 1, got {label!r}")
+        if universe is None:
+            universe = s.universe
+        elif s.universe is not universe and s.universe != universe:
+            raise LabelMismatch("all episodes must share one universe")
+        if label == 1:
+            n_win += 1
+        else:
+            n_lose += 1
+    if n_win == 0 or n_lose == 0:
+        raise MissingClass("need at least one episode of each class")
+    m = len(universe)
+    keys, slots = encode_slots([s for s, _ in episodes], _analysis_table(universe.labels))
+    win_counts = [[0] * m for _ in range(m)]
+    lose_counts = [[0] * m for _ in range(m)]
+    for (k, label), c in Counter(zip(slots, (lab for _, lab in episodes))).items():
+        target = win_counts if label == 1 else lose_counts
+        for i in range(m):
+            for j in _bit_indices(keys[k][0][i]):
+                target[i][j] += c
+    return RelevanceTable(
+        universe,
+        n_win,
+        n_lose,
+        tuple(tuple(row) for row in win_counts),
+        tuple(tuple(row) for row in lose_counts),
+    )
 
 
 def relevance_rows_ranked(table):

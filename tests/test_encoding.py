@@ -8,22 +8,36 @@ Claims covered:
   equal points of a MatrixPointSet are one shared matrix object;
 - cluster_common_matrices gives what one common_matrix call per cluster
   gives;
+- the one-scan order keys, and the distinct keys with their
+  multiplicities, are what the `positions()` key and the keys-plus-slots
+  encoding they replaced give (key k's multiplicity was slots.count(k)),
+  on event and subset corpora with repeated labels, absent table labels,
+  events outside the table, empty sequences and terms, and universes that
+  are equal but not identical; a table label missing from some universe
+  raises the same LabelNotInUniverse; relevance_scores gives what the
+  slot tally it replaced gives, or raises the same error;
 - the encoder keeps the error behaviour of the per-sequence code: an empty
   point set needs no labels, an empty common matrix raises EmptyInput,
-  the label cap is checked before the universes, and seq_to_matrix raises
-  EmptyJ, then the duplicate-label ValueError, then LabelNotInUniverse.
+  the label cap is checked before the universes, every distinct universe
+  is checked (not only the first) by each encoding reader, and
+  seq_to_matrix raises EmptyJ, then the duplicate-label ValueError, then
+  LabelNotInUniverse.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hassemine import (
     EmptyInput,
     EmptyJ,
     EventSequence,
+    HassemineError,
     LabelNotInUniverse,
     LabelTable,
     MatrixPointSet,
@@ -37,19 +51,25 @@ from hassemine import (
     relevance_scores,
     seq_to_matrix,
 )
+from hassemine.sequences import _encode, _order_key
 
 from oracles import (
     average_linkage_oracle,
     common_rows_oracle,
     components_unionfind,
+    encode_slots,
     hasse_cluster_bruteforce,
+    order_key_positions,
     order_rows_oracle,
     relevance_counts_oracle,
+    relevance_scores_by_slots,
 )
 
 J = ("a", "b", "c")
 U1 = LabelTable(("a", "b", "c", "x"))
 U2 = LabelTable(("c", "x", "b", "y", "a"))
+U1_COPY = LabelTable(U1.labels)  # equal to U1, not the same object
+U3 = LabelTable(("b", "a"))
 
 
 def _random_sequence(rng, universe):
@@ -118,6 +138,50 @@ def test_shared_encoding_matches_per_sequence_oracles():
         assert list(hierarchical(points).merges) == average_linkage_oracle(dist)
 
 
+def _sequences(universe):
+    labels = st.sampled_from(universe.labels)
+    events = st.lists(labels, max_size=6).map(lambda ev: EventSequence(universe, tuple(ev)))
+    terms = st.lists(st.frozensets(labels, max_size=3), max_size=4)
+    return events | terms.map(lambda ts: SubsetSequence(universe, tuple(ts)))
+
+
+def _corpora(universes):
+    """Corpora drawn from a pool of a few sequences, so that draws repeat."""
+    pool = st.lists(st.sampled_from(universes).flatmap(_sequences), min_size=1, max_size=5)
+    return pool.flatmap(lambda seqs: st.lists(st.sampled_from(seqs), max_size=12))
+
+
+_TABLES = st.lists(st.sampled_from(("a", "b", "c", "x", "y")), min_size=1, max_size=4, unique=True)
+
+
+@given(_corpora((U1, U1_COPY, U2, U3)), _TABLES.map(tuple).map(LabelTable))
+def test_keys_and_multiplicities_match_the_slot_oracle(corpus, table):
+    for s in corpus:
+        if all(lab in s.universe for lab in table):
+            assert _order_key(s, table) == order_key_positions(s, table)
+    try:
+        keys, slots = encode_slots(corpus, table)
+    except LabelNotInUniverse as exc:
+        with pytest.raises(LabelNotInUniverse, match=f"^{re.escape(str(exc))}$"):
+            _encode(corpus, table)
+        return
+    assert list(_encode(corpus, table).items()) == [(k, slots.count(i)) for i, k in enumerate(keys)]
+
+
+def _outcome(score, episodes):
+    try:
+        return score(episodes)
+    except HassemineError as exc:
+        return type(exc), str(exc)
+
+
+@given(_corpora((U1, U1_COPY, U3)), st.data())
+def test_relevance_matches_the_slot_oracle(corpus, data):
+    labels = data.draw(st.lists(st.sampled_from((0, 1)), min_size=len(corpus), max_size=len(corpus)))
+    episodes = list(zip(corpus, labels))
+    assert _outcome(relevance_scores, episodes) == _outcome(relevance_scores_by_slots, episodes)
+
+
 def test_cluster_common_matrices_match_per_cluster_calls():
     rng = random.Random(37)
     for _ in range(40):
@@ -139,9 +203,22 @@ def test_encoder_error_behaviour():
     big = LabelTable(tuple(f"x{i}" for i in range(6)))
     with pytest.raises(TooManyLabels):
         hasse_cluster([EventSequence(big, ("x0",))], big.labels + ("zz",), t=100, r=1)
-    # Every distinct sequence's universe is checked, not only the first.
-    with pytest.raises(LabelNotInUniverse):
-        common_matrix([EventSequence(U2, ("a",)), EventSequence(U1, ("a",))], ("a", "y"))
+    # Every distinct universe is checked, not only the first: here only the
+    # later sequence's universe lacks y, after a repeat and an equal copy.
+    later = [
+        EventSequence(U2, ("a",)),
+        EventSequence(U2, ("a",)),
+        EventSequence(LabelTable(U2.labels), ("y",)),
+        EventSequence(U1, ("a",)),
+    ]
+    readers = (
+        common_matrix,
+        MatrixPointSet.from_sequences,
+        lambda seqs, j_labels: hasse_cluster(seqs, j_labels, t=100, r=1),
+    )
+    for read in readers:
+        with pytest.raises(LabelNotInUniverse, match="^label 'y' not in sequence universe$"):
+            read(later, ("a", "y"))
     s = EventSequence(U1, ("a",))
     with pytest.raises(EmptyJ):
         seq_to_matrix(s, ())

@@ -36,7 +36,10 @@ Claims covered:
   of distinct sequence matrices, whatever r is;
 - relevance scores are infinite exactly when the losing side has no
   witness, invert under class swap, and list rows most-relevant-first,
-  ties in label-position order as the rank-keyed sort oracle lists them.
+  ties in label-position order as the rank-keyed sort oracle lists them;
+- relevance scoring takes a class label only as the int 0 or 1, as the
+  parser does, refuses an unhashable one with the same ValueError, takes
+  episodes as 2-item lists, and raises the first fault among episodes.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -1128,3 +1132,28 @@ def test_relevance_validation():
     )
     with pytest.raises(ValueError):
         table.score("a", "a")
+
+
+def test_relevance_class_label_is_the_int_0_or_1():
+    """The parser's rule: True, 1.0 and the like are refused, also after a
+    valid episode of the same sequence whose label they equal. An
+    unhashable label is refused the same way. Episodes may be 2-item
+    lists; an episode of another length is a ValueError, and the first
+    fault among the episodes is the one raised."""
+    universe = LabelTable(("a", "b"))
+    win = EventSequence(universe, ("a", "b"))
+    lose = EventSequence(universe, ("b",))
+    message = "^class label must be 0 or 1, got {}$"
+    for bad in (True, False, 1.0, 0.0, "1", None, [1]):
+        for s in (win, lose):
+            with pytest.raises(ValueError, match=message.format(re.escape(repr(bad)))) as exc:
+                relevance_scores([(win, 1), (lose, 0), (s, bad)])
+            assert type(exc.value) is ValueError
+    assert relevance_scores([[win, 1], [lose, 0]]) == relevance_scores([(win, 1), (lose, 0)])
+    with pytest.raises(ValueError, match="unpack"):
+        relevance_scores([(win, 1), (lose, 0, "x")])
+    with pytest.raises(ValueError, match="got 2$"):
+        relevance_scores([(win, 2), (lose, 0, "x")])
+    other = EventSequence(LabelTable(("a", "c")), ("a",))
+    with pytest.raises(LabelMismatch):
+        relevance_scores([(win, 1), (other, 0), (lose, [1])])
