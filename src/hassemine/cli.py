@@ -6,7 +6,8 @@ order graphs), relevance (win/lose pair scores), baseline (DBSCAN or
 average-linkage clustering plus per-cluster common matrices).
 
 Exit codes: 0 success, 2 usage or input error, 3 mining produced an
-empty result set.
+empty result set, 141 the reader of stdout closed it early (as a shell
+reports a writer ended by SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ def number(text: str) -> str:
 
 def _write_text(path, text: str) -> None:
     if path in (None, "-"):
-        sys.stdout.write(text)
+        # A line at a time: a write larger than the buffer that a closing
+        # pipe cuts short returns without an error, and the text layer
+        # drops the rest; a line that meets the closed pipe raises.
+        sys.stdout.writelines(text.splitlines(keepends=True))
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -181,6 +185,8 @@ def cmd_baseline(args) -> int:
     from .io import save_matrix_csv
 
     records = _load(args)
+    if not records.rows:
+        raise ValueError(f"{args.infile}: baseline clustering needs at least one sequence")
     labels = _parse_labels(args.labels)
     points = MatrixPointSet.from_sequences(records.sequences, labels)
     if args.algo == "dbscan":
@@ -282,7 +288,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at shutdown: send that to
+        # the null device, so that it cannot report the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (HassemineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

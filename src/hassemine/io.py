@@ -98,17 +98,15 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     """
     header_table = None
     rows = []
-    numbers = []
-    # firsts[i]: the index of the first row read from row i's line text
-    firsts = []
+    decoded = []  # (line number, record) of each record line decoded
+    lines = []  # lines[i]: the index in decoded of row i's line
     seen: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
-        first = seen.get(line)
-        if first is not None:
-            row = rows[first]
-            rows.append({**row, "events": list(row["events"])})
-            numbers.append(number)
-            firsts.append(first)
+        index = seen.get(line)
+        if index is not None:
+            record = decoded[index][1]
+            rows.append({**record, "events": list(record["events"])})
+            lines.append(index)
             continue
         if not line.strip():
             continue
@@ -148,10 +146,10 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
             for key, value in record.items()
             if key != "events"
         ):
-            seen[line] = len(rows)
-        firsts.append(len(rows))
+            seen[line] = len(decoded)
+        lines.append(len(decoded))
+        decoded.append((number, record))
         rows.append(record)
-        numbers.append(number)
     if universe is not None:
         universe = tuple(universe)
         if not all(type(x) is str for x in universe):
@@ -162,21 +160,18 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     else:
         raise ValueError("no universe: add a header record or pass one explicitly")
     sequences = []
-    for index, (number, first, row) in enumerate(zip(numbers, firsts, rows)):
-        if first != index:
-            sequences.append(sequences[first])
-            continue
+    for number, record in decoded:
         # Against a universe of strings, a hashable non-string event fails
         # the universe lookup and an unhashable one raises TypeError there,
         # so this one pass checks the event types as well.
         try:
-            sequences.append(EventSequence(table, tuple(row["events"])))
+            sequences.append(EventSequence(table, tuple(record["events"])))
         except LabelNotInUniverse as exc:
             raise LabelNotInUniverse(f"line {number}: {exc}") from None
         except TypeError:
             raise ValueError(f"line {number}: events must be a list of strings") from None
     records = SequenceRecords(table, tuple(rows))
-    object.__setattr__(records, "sequences", tuple(sequences))
+    object.__setattr__(records, "sequences", tuple(map(sequences.__getitem__, lines)))
     return records
 
 

@@ -35,7 +35,7 @@ from .graphs import (
     _transpose,
     _unpack_rows,
 )
-from .sequences import AnySequence, _analysis_table, _encode, _order_keys, flattenings
+from .sequences import AnySequence, _analysis_table, _encode, flattenings
 from .sequences import common_matrix, seq_to_matrix  # re-exported
 
 
@@ -351,10 +351,7 @@ def hasse_cluster(
     m = len(table)
     _check_label_count(m)
 
-    # Per matrix, not per key: each distinct matrix gets one mask bit.
-    counts: Counter = Counter()
-    for (rows, _), c in _encode(seqs, table).items():
-        counts[rows] += c
+    counts = _encode(Counter(seqs), table)
     mult = list(counts.values())
     d_flats = [_pack_rows(rows, m) for rows in counts]
 
@@ -466,7 +463,8 @@ def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTa
     0 (lose); both classes must be present. The score of (i, j) is the
     winners' rate of 'both occur, i entirely first' divided by the losers'
     rate. Each distinct (sequence, label) pair is checked once, in
-    first-seen order, and each distinct sequence is encoded once.
+    first-seen order; each class's counts are the sum of its distinct
+    order matrices, each weighted by its multiplicity.
     """
     episodes = list(episodes)
     try:
@@ -480,30 +478,20 @@ def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTa
             universe = _episode_universe(s, label, universe)
         raise
     universe = None
-    n_class = [0, 0]  # [lose, win]
+    classes = (Counter(), Counter())  # [lose, win]: each sequence's count
     for (s, _, label), c in pairs.items():
         universe = _episode_universe(s, label, universe)
-        n_class[label] += c
-    n_lose, n_win = n_class
+        classes[label][s] += c
+    n_lose, n_win = (cls.total() for cls in classes)
     if n_win == 0 or n_lose == 0:
         raise MissingClass("need at least one episode of each class")
-    m = len(universe)
-    uniq = dict.fromkeys(s for s, _, _ in pairs)
-    keys = dict(zip(uniq, _order_keys(uniq, _analysis_table(universe.labels))))
-    tally: Counter = Counter()
-    for (s, _, label), c in pairs.items():
-        tally[keys[s][0], label] += c
+    table = _analysis_table(universe.labels)
+    m = len(table)
     counts = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # [lose, win]
-    for (rows, label), c in tally.items():
-        target = counts[label]
-        for i, row in enumerate(rows):
-            for j in _bit_indices(row):
-                target[i][j] += c
-    lose_counts, win_counts = counts
-    return RelevanceTable(
-        universe,
-        n_win,
-        n_lose,
-        tuple(tuple(row) for row in win_counts),
-        tuple(tuple(row) for row in lose_counts),
-    )
+    for cls, target in zip(classes, counts):
+        for rows, c in _encode(cls, table).items():
+            for i, row in enumerate(rows):
+                for j in _bit_indices(row):
+                    target[i][j] += c
+    lose_counts, win_counts = (tuple(map(tuple, target)) for target in counts)
+    return RelevanceTable(universe, n_win, n_lose, win_counts, lose_counts)

@@ -10,15 +10,15 @@ label i is ordered before label j when both occur and every occurrence of
 i comes strictly before every occurrence of j. `_order_key` computes it
 from one scan of a sequence, as (order rows, occurrence mask), and
 `_order_keys` encodes a list of sequences after checking the labels once
-against each distinct universe. A corpus has one encoding, `_encode`: its
-distinct keys in first-seen order, each with its multiplicity, from one
-count of the sequences and one key per distinct sequence. The miner
-folds it into matrices with counts; relevance scoring keys the distinct
-(sequence, label) pairs and the baselines' point sets the distinct
-sequences, the one reader that needs a point per sequence. Its public
-readers live here: `seq_to_matrix`, the order matrix of one sequence, and
-`common_matrix`, the pairs ordered alike across a collection, which the
-baselines' per-cluster common matrices call once per cluster.
+against each distinct universe. A corpus has one encoding, `_encode`: a
+count of its sequences as its distinct order matrices with their
+multiplicities, one key per distinct sequence. The miner reads it, and
+relevance scoring reads it once per class. `common_matrix`, the pairs
+ordered alike across a collection (once per cluster in the baselines'
+common matrices), folds the keys of the distinct sequences, as it needs
+their occurrence masks; the baselines' point sets key the distinct
+sequences to give each sequence its point. `seq_to_matrix` is the order
+matrix of one sequence.
 """
 
 from __future__ import annotations
@@ -177,16 +177,15 @@ def _distinct(items) -> tuple[list, list[int]]:
     return list(index), slots
 
 
-def _encode(seqs: Iterable[AnySequence], table: LabelTable) -> Counter:
-    """The corpus as its distinct _order_key results, in first-seen order,
-    each mapped to its multiplicity (the number of sequences with that
-    key). One count finds the distinct sequences; each is encoded once,
-    after the table is checked once against each distinct universe."""
-    counts = Counter(seqs)
-    keys: Counter = Counter()
-    for key, c in zip(_order_keys(counts, table), counts.values()):
-        keys[key] += c
-    return keys
+def _encode(counts: Counter, table: LabelTable) -> Counter:
+    """A Counter of sequences as its distinct order matrices (order rows),
+    in first-seen order, each mapped to the number of sequences that have
+    it. Each distinct sequence is keyed once; keys whose rows agree but
+    whose occurrence masks differ are one matrix."""
+    matrices: Counter = Counter()
+    for (rows, _), c in zip(_order_keys(counts, table), counts.values()):
+        matrices[rows] += c
+    return matrices
 
 
 def seq_to_matrix(s: AnySequence, j_labels: Iterable[str]) -> BoolMatrix:
@@ -204,18 +203,18 @@ def common_matrix(seqs: Iterable[AnySequence], j_labels: Iterable[str]) -> BoolM
     """Pairs ordered identically in every sequence where both labels occur.
 
     Entry (i, j) is 1 iff some sequence witnesses the pair (both occur,
-    i strictly first) and no sequence where both occur violates it. Each
-    distinct key of the encoding is folded once: a key adds its order rows
+    i strictly first) and no sequence where both occur violates it. The
+    key of each distinct sequence is folded once: it adds its order rows
     to the witnesses, and the pairs of its occurring labels that it does
     not order to the vetoes.
     """
-    seqs = list(seqs)
+    seqs = dict.fromkeys(seqs)  # the distinct sequences, in first-seen order
     if not seqs:
         raise EmptyInput("common matrix needs at least one sequence")
     table = _analysis_table(j_labels)
     witness = [0] * len(table)
     veto = [0] * len(table)
-    for rows, occurring in _encode(seqs, table):
+    for rows, occurring in _order_keys(seqs, table):
         for i in _bit_indices(occurring):
             witness[i] |= rows[i]
             veto[i] |= occurring & ~rows[i]  # bit i too, but witness[i] lacks it

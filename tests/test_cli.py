@@ -22,11 +22,15 @@ Claims covered:
   text, or a number past 4300 digits, exits 2 naming the option, in
   under a second;
 - baseline writes an index,cluster assignment plus per-cluster common
-  matrix CSVs, and each algorithm demands its own parameter;
+  matrix CSVs, each algorithm demands its own parameter, and both exit 2
+  naming the file on a corpus with no sequences;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
   do malformed sequence files, bytes that are not UTF-8 and nesting too
   deep to decode included, with the file name and the offending line in
-  the message.
+  the message;
+- a stdout whose reader has gone, before the first write or in the
+  middle of a large output, ends the command with exit code 141 and
+  nothing on stderr, with PYTHONUNBUFFERED set or unset.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -55,6 +62,8 @@ from hassemine import (
 )
 from hassemine.cli import main
 from hassemine.enumeration import enumerate_category
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 J5 = LabelTable(("e1", "e2", "e5", "e6", "e11"))
 
@@ -439,6 +448,17 @@ def test_baseline_missing_parameter(tmp_path, capsys):
     assert code == 2 and "--threshold" in err
 
 
+@pytest.mark.parametrize(
+    "algo", [("--algo", "dbscan", "--eps", "1"), ("--algo", "hier", "--threshold", "1")]
+)
+def test_baseline_empty_corpus(tmp_path, capsys, algo):
+    path = tmp_path / "header.jsonl"
+    path.write_text(dump_sequences(LabelTable(("a", "b")), []))
+    code, out, err = run_cli(capsys, "baseline", *algo, "--in", str(path), "--labels", "a,b")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: baseline clustering needs at least one sequence\n"
+
+
 @pytest.mark.parametrize("eps", ["-1", "nan"])
 def test_baseline_bad_eps(tmp_path, capsys, eps):
     src = simulate_file(tmp_path, "types.jsonl", 2, 7)
@@ -541,3 +561,39 @@ def test_non_utf8_input_exits_2_with_line(tmp_path, capsys, data, number):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: line {number}: invalid UTF-8 at byte ")
     assert "Traceback" not in err
+
+
+def _cli_into_pipe(argv, unbuffered: bool, read_first: bool = False):
+    """(exit code, stderr) of the CLI writing into a pipe whose read end is
+    closed before the run starts, or after one byte when read_first."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    if not read_first:
+        os.close(read)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hassemine.cli", *argv],
+        stdout=write,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write)
+    if read_first:
+        os.read(read, 1)
+        os.close(read)
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # Two episodes: buffered, the output first meets the closed pipe at
+    # main's flush; unbuffered, at its first line.
+    short = ("simulate", "--version", "1", "--episodes", "2")
+    assert _cli_into_pipe(short, unbuffered) == (141, b"")
+    # About 110 KB, more than the pipe holds, so the run is still writing
+    # when the reader leaves.
+    long = ("simulate", "--version", "2", "--episodes", "1000", "--policy", "random")
+    assert _cli_into_pipe(long, unbuffered, read_first=True) == (141, b"")

@@ -8,14 +8,16 @@ Claims covered:
   equal points of a MatrixPointSet are one shared matrix object;
 - cluster_common_matrices gives what one common_matrix call per cluster
   gives;
-- the one-scan order keys, and the distinct keys with their
-  multiplicities, are what the `positions()` key and the keys-plus-slots
-  encoding they replaced give (key k's multiplicity was slots.count(k)),
-  on event and subset corpora with repeated labels, absent table labels,
-  events outside the table, empty sequences and terms, and universes that
-  are equal but not identical; a table label missing from some universe
-  raises the same LabelNotInUniverse; relevance_scores gives what the
-  slot tally it replaced gives, or raises the same error;
+- the one-scan order keys are what the `positions()` key they replaced
+  gives, and the distinct matrices with their multiplicities are the
+  keys-plus-slots encoding folded by order rows (a matrix's multiplicity
+  is the number of slots whose key has its rows), on event and subset
+  corpora with repeated labels, absent table labels, events outside the
+  table, empty sequences and terms, universes that are equal but not
+  identical, and keys that differ only in their occurrence masks; a table
+  label missing from some universe raises the same LabelNotInUniverse;
+  relevance_scores gives what the slot tally it replaced gives, or raises
+  the same error, also when one sequence appears in both classes;
 - the encoder keeps the error behaviour of the per-sequence code: an empty
   point set needs no labels, an empty common matrix raises EmptyInput,
   the label cap is checked before the universes, every distinct universe
@@ -28,9 +30,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hassemine import (
@@ -155,6 +158,9 @@ _TABLES = st.lists(st.sampled_from(("a", "b", "c", "x", "y")), min_size=1, max_s
 
 
 @given(_corpora((U1, U1_COPY, U2, U3)), _TABLES.map(tuple).map(LabelTable))
+# three distinct keys, (no arrows, mask a), (no arrows, no mask) and (no
+# arrows, mask b), of one matrix
+@example([EventSequence(U3, ev) for ev in (("a",), (), ("b",))], LabelTable(("a", "b")))
 def test_keys_and_multiplicities_match_the_slot_oracle(corpus, table):
     for s in corpus:
         if all(lab in s.universe for lab in table):
@@ -163,9 +169,10 @@ def test_keys_and_multiplicities_match_the_slot_oracle(corpus, table):
         keys, slots = encode_slots(corpus, table)
     except LabelNotInUniverse as exc:
         with pytest.raises(LabelNotInUniverse, match=f"^{re.escape(str(exc))}$"):
-            _encode(corpus, table)
+            _encode(Counter(corpus), table)
         return
-    assert list(_encode(corpus, table).items()) == [(k, slots.count(i)) for i, k in enumerate(keys)]
+    matrices = Counter(keys[k][0] for k in slots)
+    assert list(_encode(Counter(corpus), table).items()) == list(matrices.items())
 
 
 def _outcome(score, episodes):
@@ -180,6 +187,15 @@ def test_relevance_matches_the_slot_oracle(corpus, data):
     labels = data.draw(st.lists(st.sampled_from((0, 1)), min_size=len(corpus), max_size=len(corpus)))
     episodes = list(zip(corpus, labels))
     assert _outcome(relevance_scores, episodes) == _outcome(relevance_scores_by_slots, episodes)
+
+
+def test_relevance_of_a_sequence_in_both_classes():
+    both = EventSequence(U1, ("a", "b"))
+    episodes = [(both, 1), (EventSequence(U1, ("b", "a")), 0), (both, 0), (both, 1)]
+    table = relevance_scores(episodes)
+    assert table == relevance_scores_by_slots(episodes)
+    assert (table.n_win, table.n_lose) == (2, 2)
+    assert table.win_counts[0][1] == 2 and table.lose_counts[0][1] == 1
 
 
 def test_cluster_common_matrices_match_per_cluster_calls():
