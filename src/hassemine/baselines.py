@@ -25,7 +25,7 @@ from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
-from .exact import exact_fraction
+from .exact import exact_fraction, is_count
 from .graphs import BoolMatrix
 from .sequences import AnySequence, _analysis_table, _distinct, _order_keys, common_matrix
 
@@ -106,7 +106,7 @@ def dbscan(
     first unlabelled core point, so a border point joins the first cluster
     that reaches it. Cost O(k^2) plus O(n).
     """
-    if not isinstance(min_samples, int) or min_samples < 1:
+    if not is_count(min_samples):
         raise ValueError("min_samples must be a positive integer")
     radius = exact_fraction(eps)
     if radius < 0:

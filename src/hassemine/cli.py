@@ -5,8 +5,9 @@ episodes), corrupt (seeded sequence mutation), mine (covering sets of
 order graphs), relevance (win/lose pair scores), baseline (DBSCAN or
 average-linkage clustering plus per-cluster common matrices).
 
-Exit codes: 0 success, 2 usage or input error, 3 mining produced an
-empty result set, 141 the reader of stdout closed it early (as a shell
+Exit codes: 0 success, 2 usage or input error (an error in the --in file
+or in the corpus it holds names the file), 3 mining produced an empty
+result set, 141 the reader of stdout closed it early (as a shell
 reports a writer ended by SIGPIPE), with nothing on stderr.
 """
 
@@ -17,8 +18,9 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
-from .errors import HassemineError
+from .errors import EmptyInput, HassemineError
 
 # Each handler imports the modules its subcommand uses, so that one
 # process of a pipeline loads only its own part of the package.
@@ -51,15 +53,23 @@ def _write_text(path, text: str) -> None:
             handle.write(text)
 
 
+@contextmanager
+def _naming_input(args, errors=ValueError):
+    """Re-raise `errors` from the block with the --in file before the
+    message: the block reads that file or judges the corpus it holds."""
+    try:
+        yield
+    except errors as exc:
+        exc.args = (f"{args.infile}: {exc}",)
+        raise
+
+
 def _load(args):
     from .io import load_sequences
 
     universe = _parse_labels(args.universe) if args.universe else None
-    try:
+    with _naming_input(args):
         return load_sequences(args.infile, universe=universe)
-    except ValueError as exc:
-        exc.args = (f"{args.infile}: {exc}",)
-        raise
 
 
 def cmd_enumerate(args) -> int:
@@ -128,7 +138,10 @@ def cmd_mine(args) -> int:
             if label == args.only_label
         )
     labels = _parse_labels(args.labels)
-    output = hasse_cluster(sequences, labels, t=args.t, r=args.r, mode=args.mode)
+    # no sequence (left) is the corpus's fault; a bad --labels, --t or --r
+    # is not
+    with _naming_input(args, EmptyInput):
+        output = hasse_cluster(sequences, labels, t=args.t, r=args.r, mode=args.mode)
     payload = {
         "labels": list(labels),
         "t": str(output.threshold),
@@ -162,9 +175,10 @@ def cmd_relevance(args) -> int:
     from .mining import relevance_scores
 
     records = _load(args)
-    if any(label is None for label in records.labels):
-        raise ValueError("relevance needs a 0/1 label on every record")
-    table = relevance_scores(list(zip(records.sequences, records.labels)))
+    with _naming_input(args):
+        if any(label is None for label in records.labels):
+            raise ValueError("relevance needs a 0/1 label on every record")
+        table = relevance_scores(list(zip(records.sequences, records.labels)))
     writer = csv.writer(sys.stdout)
     writer.writerow(("i", "j", "W", "L", "R"))
     for a, b, score, wins, losses in table.rows():
@@ -185,8 +199,9 @@ def cmd_baseline(args) -> int:
     from .io import save_matrix_csv
 
     records = _load(args)
-    if not records.rows:
-        raise ValueError(f"{args.infile}: baseline clustering needs at least one sequence")
+    with _naming_input(args):
+        if not records.rows:
+            raise ValueError("baseline clustering needs at least one sequence")
     labels = _parse_labels(args.labels)
     points = MatrixPointSet.from_sequences(records.sequences, labels)
     if args.algo == "dbscan":
@@ -218,6 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mine partial-order concepts from event sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the sequence-file options of corrupt, mine, relevance and baseline
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    corpus.add_argument("--universe", help="comma-separated labels when no header")
 
     p = sub.add_parser("enumerate", help="count order graphs on m labels")
     p.add_argument("--m", type=int, required=True, help=f"label count (1..{MAX_LABELS})")
@@ -242,39 +261,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="JSONL output (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("corrupt", help="mutate a fraction of a sequence file")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p = sub.add_parser("corrupt", parents=[corpus], help="mutate a fraction of a sequence file")
     p.add_argument("--fraction", type=number, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", default="swap,delete,insert")
-    p.add_argument("--universe", help="comma-separated labels when no header")
     p.add_argument("--out", metavar="FILE", help="JSONL output (default stdout)")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("mine", help="mine covering sets of order graphs")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p = sub.add_parser("mine", parents=[corpus], help="mine covering sets of order graphs")
     p.add_argument("--labels", required=True, help="comma-separated, at most 6")
     p.add_argument("--t", type=number, default="100", help="coverage threshold %%")
     p.add_argument("--r", type=int, default=1, help="max graphs per covering set")
     p.add_argument("--mode", choices=("minimal", "literal"), default="minimal")
     p.add_argument("--only-label", type=int, choices=(0, 1), default=None)
-    p.add_argument("--universe", help="comma-separated labels when no header")
     p.add_argument("--dot", metavar="DIR", help="write one DOT file per graph")
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("relevance", help="score event pairs by win/lose order")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--universe", help="comma-separated labels when no header")
+    p = sub.add_parser("relevance", parents=[corpus], help="score event pairs by win/lose order")
     p.set_defaults(func=cmd_relevance)
 
-    p = sub.add_parser("baseline", help="cluster per-sequence order matrices")
+    p = sub.add_parser("baseline", parents=[corpus], help="cluster per-sequence order matrices")
     p.add_argument("--algo", choices=("dbscan", "hier"), required=True)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--labels", required=True, help="comma-separated matrix labels")
     p.add_argument("--eps", type=number, default=None, help="DBSCAN radius")
     p.add_argument("--min-samples", type=int, default=1)
     p.add_argument("--threshold", type=number, default=None, help="dendrogram cut")
-    p.add_argument("--universe", help="comma-separated labels when no header")
     p.add_argument("--out", metavar="DIR", help="write per-cluster common matrices")
     p.set_defaults(func=cmd_baseline)
 

@@ -1,4 +1,4 @@
-"""Exact rational reading of user-supplied numbers.
+"""Exact reading of user-supplied numbers: rationals, counts and class labels.
 
 Thresholds, radii and fractions arrive as ints, Fractions, decimal strings
 or floats. A float is read through its shortest repr, so 0.1 becomes 1/10
@@ -8,6 +8,11 @@ counts are never decided by rounding.
 A string is read only if its numerator and denominator, as written, fit
 MAX_DIGITS decimal digits: Fraction expands "1e-10000000" digit by digit,
 which takes seconds, and the result could not be printed anyway.
+
+A count (a candidate size cap, a DBSCAN min_samples, a number of
+episodes, a step cap) is a positive int, and a class label is the int 0
+(lose) or 1 (win). A bool is neither, although Python counts True as 1,
+and neither is a float such as 2.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -43,3 +48,13 @@ def exact_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {value[:40]!r}") from None
+
+
+def is_count(value) -> bool:
+    """Whether value is a positive int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_class_label(value) -> bool:
+    """Whether value is the int 0 or 1; True, False, 1.0 and 0.0 are not."""
+    return type(value) is int and value in (0, 1)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import InvalidPolicy
-from .exact import exact_fraction
+from .exact import exact_fraction, is_class_label, is_count
 from .sequences import EventSequence
 from .graphs import LabelTable
 
@@ -117,7 +117,7 @@ class GameConfig:
             raise ValueError("version 1 needs exactly one rock and no coin")
         if self.version == 2 and (len(self.rocks) != 2 or self.coin is None):
             raise ValueError("version 2 needs two rocks and a coin")
-        if self.step_cap < 1:
+        if not is_count(self.step_cap):
             raise ValueError("step cap must be at least 1")
         markers = [self.key, self.explosive, self.door, self.start]
         if self.coin is not None:
@@ -190,7 +190,7 @@ class Episode:
     policy: str
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if not is_class_label(self.label):
             raise ValueError(f"episode label must be 0 or 1, got {self.label!r}")
         if self.win_route not in ("door", "coin", "none"):
             raise ValueError(f"unknown win route {self.win_route!r}")
@@ -378,7 +378,7 @@ def simulate(config: GameConfig, n_episodes: int, policy: str) -> list[Episode]:
     randomness, so each route of the rotation is played once per call and
     its (frozen) episode repeats wherever the rotation returns to it.
     """
-    if n_episodes < 1:
+    if not is_count(n_episodes):
         raise ValueError("need at least one episode")
     plan = _route_plan(config, policy)
     cells = {(x, y) for x in range(config.width) for y in range(config.height)} - config.walls

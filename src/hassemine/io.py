@@ -1,7 +1,9 @@
 """File formats: JSONL sequence files and CSV matrix files.
 
 A sequence file is JSON Lines: an optional header record declaring the
-event universe, then one record per sequence.
+event universe, then one record per sequence. A line ends at "\n", "\r\n"
+or "\r" and nowhere else: JSON strings may hold U+0085, U+2028 and U+2029
+unescaped, and `json.dumps(..., ensure_ascii=False)` writes them so.
 
     {"universe": ["e1", "e2", "e5"]}
     {"events": ["e2", "e5"], "label": 1}
@@ -21,6 +23,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import LabelNotInUniverse
+from .exact import is_class_label
 from .graphs import BoolMatrix, LabelTable
 from .sequences import EventSequence
 
@@ -79,6 +82,14 @@ def save_episodes(path, episodes: Iterable[Episode]) -> None:
     save_sequences(path, table, [episode_row(ep) for ep in episodes])
 
 
+def _lines(text: str) -> list[str]:
+    """text cut at each "\n", "\r\n" and "\r"; a final line end leaves an
+    empty last line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_sequences(text: str, universe=None) -> SequenceRecords:
     """Parse sequence-file text; a `universe` of strings overrides any header.
 
@@ -101,7 +112,7 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
     decoded = []  # (line number, record) of each record line decoded
     lines = []  # lines[i]: the index in decoded of row i's line
     seen: dict[str, int] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(_lines(text), start=1):
         index = seen.get(line)
         if index is not None:
             record = decoded[index][1]
@@ -137,7 +148,7 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
         if type(record["events"]) is not list:
             raise ValueError(f"line {number}: events must be a list of strings")
         label = record.get("label")
-        if label is not None and (type(label) is not int or label not in (0, 1)):
+        if label is not None and not is_class_label(label):
             raise ValueError(f"line {number}: label must be 0 or 1, got {label!r}")
         # a copy's dict is shallow, so only records with no other list or
         # object in them may be copied
@@ -183,10 +194,12 @@ def load_sequences(path, universe=None) -> SequenceRecords:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        # the bytes before the bad one decode; count their lines as the
+        # parser would
+        lines = _lines(data[: exc.start].decode("utf-8"))
+        column = len(lines[-1].encode("utf-8")) + 1
         raise ValueError(
-            f"line {number}: invalid UTF-8 at byte {column}: {exc.reason}"
+            f"line {len(lines)}: invalid UTF-8 at byte {column}: {exc.reason}"
         ) from None
     return parse_sequences(text, universe)
 

@@ -23,7 +23,7 @@ from .errors import (
     LabelMismatch,
     MissingClass,
 )
-from .exact import exact_fraction
+from .exact import exact_fraction, is_class_label, is_count
 from .graphs import (
     BoolMatrix,
     Digraph,
@@ -344,7 +344,7 @@ def hasse_cluster(
         raise EmptyInput("clustering needs at least one sequence")
     if mode not in ("minimal", "literal"):
         raise InvalidMode(f"unknown mode {mode!r}")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+    if not is_count(r):
         raise InvalidThreshold(f"candidate size cap must be a positive integer, got {r!r}")
     frac = _threshold_fraction(t)
     table = _analysis_table(j_labels)
@@ -447,7 +447,7 @@ class RelevanceTable:
 def _episode_universe(s: AnySequence, label, universe):
     """The universe of a valid episode (s, label); `universe` is that of
     the episodes before it, None for the first."""
-    if type(label) is not int or label not in (0, 1):
+    if not is_class_label(label):
         raise ValueError(f"class label must be 0 or 1, got {label!r}")
     if universe is None:
         return s.universe

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
@@ -1012,11 +1013,12 @@ def check_consistency_equivalences(s: EventSequence, w: Digraph) -> bool:
 
 def parse_sequences_per_line(text: str, universe=None) -> SequenceRecords:
     """parse_sequences as it was before it read each distinct line once:
-    every line is decoded and checked, and builds its own sequence."""
+    every line is decoded and checked, and builds its own sequence. Lines
+    end at "\n", "\r\n" and "\r", as in the parser."""
     header_table = None
     rows = []
     numbers = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         if not line.strip():
             continue
         try:

@@ -24,6 +24,9 @@ Claims covered:
 - baseline writes an index,cluster assignment plus per-cluster common
   matrix CSVs, each algorithm demands its own parameter, and both exit 2
   naming the file on a corpus with no sequences;
+- mine with no sequence (left after --only-label), and relevance without
+  both classes or with an unlabelled record, exit 2 naming the file; a
+  bad option on a good file does not name it;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
   do malformed sequence files, bytes that are not UTF-8 and nesting too
   deep to decode included, with the file name and the offending line in
@@ -457,6 +460,40 @@ def test_baseline_empty_corpus(tmp_path, capsys, algo):
     code, out, err = run_cli(capsys, "baseline", *algo, "--in", str(path), "--labels", "a,b")
     assert (code, out) == (2, "")
     assert err == f"error: {path}: baseline clustering needs at least one sequence\n"
+
+
+WIN = {"events": ["a"], "label": 1}
+
+
+@pytest.mark.parametrize(
+    "rows, argv, message",
+    [
+        ([], ("mine", "--labels", "a,b"), "clustering needs at least one sequence"),
+        ([], ("relevance",), "need at least one episode of each class"),
+        (
+            [WIN],
+            ("mine", "--labels", "a,b", "--only-label", "0"),
+            "clustering needs at least one sequence",
+        ),
+        ([WIN], ("relevance",), "need at least one episode of each class"),
+        ([WIN, {"events": ["b"]}], ("relevance",), "relevance needs a 0/1 label on every record"),
+    ],
+    ids=["mine empty", "relevance empty", "mine only-label", "relevance one class", "unlabelled"],
+)
+def test_corpus_errors_name_the_file(tmp_path, capsys, rows, argv, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(dump_sequences(LabelTable(("a", "b")), rows))
+    code, out, err = run_cli(capsys, *argv, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_option_errors_do_not_name_the_file(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(dump_sequences(LabelTable(("a", "b")), [WIN]))
+    code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b", "--r", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: candidate size cap must be a positive integer, got 0\n"
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan"])

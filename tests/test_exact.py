@@ -1,4 +1,5 @@
-"""Exact reading of user-supplied numbers, shared by every caller.
+"""Exact reading of user-supplied numbers, counts and class labels,
+shared by every caller.
 
 Claims covered:
 - floats are read through their shortest repr (0.1 is 1/10), other values
@@ -11,20 +12,26 @@ Claims covered:
 - a bool is a TypeError, although Fraction reads True as 1, in every
   caller;
 - a string whose numerator or denominator needs more than 4300 digits is
-  refused at once, before Fraction expands it.
+  refused at once, before Fraction expands it;
+- a count is a positive int: hasse_cluster's r, dbscan's min_samples,
+  simulate's episode number and a game's step cap each refuse 0, a bool
+  and a float with their own ValueError;
+- a class label is the int 0 or 1: the parser, relevance scoring and an
+  Episode each refuse true, false, 1.0 and 0.0 with their own ValueError.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from hassemine import EventSequence, InvalidThreshold, LabelTable
+from hassemine import EventSequence, InvalidThreshold, LabelTable, parse_sequences
 from hassemine.baselines import Dendrogram, MatrixPointSet, cut, dbscan
-from hassemine.exact import exact_fraction
-from hassemine.game import corrupt_sequences
-from hassemine.mining import hasse_cluster
+from hassemine.exact import exact_fraction, is_class_label, is_count
+from hassemine.game import Episode, corrupt_sequences, simulate, v1_config
+from hassemine.mining import hasse_cluster, relevance_scores
 
 TABLE = LabelTable(("a", "b", "c"))
 
@@ -89,3 +96,35 @@ def test_caller_error_types():
         corrupt_sequences(seqs, "ten", seed=0)
     with pytest.raises(TypeError):
         cut(Dendrogram(1, ()), None)
+
+
+def test_counts_are_positive_ints():
+    seqs = [EventSequence(TABLE, ("a",))]
+    points = MatrixPointSet.from_sequences(seqs, ("a",))
+    assert is_count(1) and is_count(10**30)
+    # True == 1 and 2.5 > 1, but neither counts anything
+    for bad in (0, -1, True, False, 1.0, 2.5, "3", None):
+        assert not is_count(bad)
+        with pytest.raises(InvalidThreshold, match="^candidate size cap must be a positive"):
+            hasse_cluster(seqs, ("a",), t=100, r=bad)
+        with pytest.raises(ValueError, match="^min_samples must be a positive integer$"):
+            dbscan(points, 1, min_samples=bad)
+        with pytest.raises(ValueError, match="^need at least one episode$"):
+            simulate(v1_config(), bad, "random")
+        with pytest.raises(ValueError, match="^step cap must be at least 1$"):
+            v1_config(step_cap=bad)
+
+
+def test_class_labels_are_the_ints_0_and_1():
+    seq = EventSequence(TABLE, ("a",))
+    assert is_class_label(0) and is_class_label(1)
+    for bad in (True, False, 1.0, 0.0, 2, -1, "1"):
+        assert not is_class_label(bad)
+        record = json.dumps({"events": ["a"], "label": bad})
+        with pytest.raises(ValueError, match="^line 2: label must be 0 or 1, got "):
+            parse_sequences('{"universe": ["a"]}\n' + record + "\n")
+        with pytest.raises(ValueError, match="^class label must be 0 or 1, got "):
+            relevance_scores([(seq, bad)])
+        route = "door" if bad else "none"
+        with pytest.raises(ValueError, match="^episode label must be 0 or 1, got "):
+            Episode(seq, bad, route, 0, "p")

@@ -6,7 +6,11 @@ Claims covered:
 - malformed files fail loudly: missing universe, duplicate header,
   recordless events, non-0/1 labels, unknown event tokens;
 - files with \n, \r\n or \r line ends load alike, with the same line
-  numbers;
+  numbers, for a bad byte too, which is named by its line and its byte
+  within that line;
+- no other character ends a line: labels holding a raw U+0085, U+2028 or
+  U+2029 (which JSON strings may hold) parse and load, and a form feed
+  between two records leaves one line of invalid JSON;
 - each malformed record fails with a ValueError naming its file line:
   invalid JSON (nesting too deep to decode and an integer too long to
   convert included), events that are a string or hold a non-string,
@@ -33,7 +37,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hassemine import (
@@ -86,6 +90,33 @@ def test_load_sequences_line_endings(tmp_path, newline):
     path.write_bytes(newline.join(lines + ['{"events": ["zz"]}']).encode())
     with pytest.raises(ValueError, match=r"^line 5: "):
         load_sequences(path)
+    # line 3 is '{"events": ["é' (15 bytes), then a byte that is not UTF-8
+    bad = newline.join(lines[:2] + ['{"events": ["é']).encode() + b'\xff"]}'
+    path.write_bytes(bad + newline.encode())
+    with pytest.raises(ValueError, match=r"^line 3: invalid UTF-8 at byte 16: "):
+        load_sequences(path)
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_line_separators_inside_strings_are_kept(tmp_path, separator):
+    label = f"a{separator}b"
+    rows = [{"events": [label, "c"], "label": 1}, {"events": ["c", label]}]
+    text = "".join(
+        json.dumps(record, ensure_ascii=False) + "\n"
+        for record in [{"universe": [label, "c"]}, *rows]
+    )
+    assert separator in text
+    path = tmp_path / "seqs.jsonl"
+    path.write_bytes(text.encode())
+    for records in (parse_sequences(text), load_sequences(path)):
+        assert records.table.labels == (label, "c")
+        assert list(records.rows) == rows
+        assert [s.events for s in records.sequences] == [(label, "c"), ("c", label)]
+
+
+def test_form_feed_does_not_end_a_line():
+    with pytest.raises(ValueError, match=r"^line 2: invalid JSON at column 18: Extra data$"):
+        parse_sequences(HEADER + '{"events": ["a"]}\f{"events": ["b"]}\n')
 
 
 def test_universe_override_and_headerless():
@@ -204,6 +235,8 @@ def _outcome(parse, text, universe):
     ),
     st.none() | st.lists(st.sampled_from(("a", "b", "c")), unique=True).map(tuple),
 )
+# a raw U+2028 inside a label and a repeated line holding it
+@example('{"events": ["a\u2028"]}\n{"events": ["a\u2028"]}', ("a", "a\u2028"))
 def test_repeated_lines_match_per_line_oracle(text, universe):
     for text in (text, HEADER + text):
         assert _outcome(parse_sequences, text, universe) == _outcome(
