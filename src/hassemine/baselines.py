@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, combinations
-from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
-from .exact import exact_fraction, is_count
+from .exact import exact_fraction, exact_index, is_count
 from .graphs import BoolMatrix
 from .sequences import AnySequence, _analysis_table, _distinct, _order_keys, common_matrix
 
@@ -146,7 +145,7 @@ class Dendrogram:
 
     Leaves are 0..n_leaves-1; the k-th merge joins two existing cluster ids
     and creates id n_leaves+k. Heights are nondecreasing. Ids and n_leaves
-    must be integers: 1.7 is refused, not truncated to 1.
+    must be integers: 1.7 and True are refused, not read as 1.
     """
 
     n_leaves: int
@@ -154,13 +153,13 @@ class Dendrogram:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "n_leaves", index(self.n_leaves))
+            object.__setattr__(self, "n_leaves", exact_index(self.n_leaves))
         except TypeError:
             raise ValueError(f"n_leaves must be an integer, got {self.n_leaves!r}") from None
         merges = []
         for k, (a, b, h) in enumerate(self.merges):
             try:
-                a, b = index(a), index(b)
+                a, b = exact_index(a), exact_index(b)
             except TypeError:
                 raise ValueError(f"merge {k} joins non-integer cluster ids {a!r}, {b!r}") from None
             merges.append((a, b, exact_fraction(h)))
@@ -288,9 +287,9 @@ def cluster_common_matrices(
     """Common matrix of each cluster's member sequences: one common_matrix
     call per cluster, all on one label table.
 
-    A member must be an integer index into seqs: -1 is refused, not read
-    as the last sequence. Every member is checked before any matrix is
-    built.
+    A member must be an integer index into seqs: -1 and True are refused,
+    not read as the last sequence and as 1. Every member is checked
+    before any matrix is built.
     """
     clusters = [list(c) for c in clusters]
     if not clusters:
@@ -300,7 +299,7 @@ def cluster_common_matrices(
     table = _analysis_table(j_labels)
     for i in chain.from_iterable(clusters):
         try:
-            ok = 0 <= index(i) < len(seqs)
+            ok = 0 <= exact_index(i) < len(seqs)
         except TypeError:
             ok = False
         if not ok:

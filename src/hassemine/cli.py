@@ -129,6 +129,7 @@ def cmd_mine(args) -> int:
     from .graphs import Digraph, to_dot, transitive_reduction
     from .mining import hasse_cluster
 
+    labels = _parse_labels(args.labels)
     records = _load(args)
     sequences = records.sequences
     if args.only_label is not None:
@@ -137,7 +138,6 @@ def cmd_mine(args) -> int:
             for seq, label in zip(sequences, records.labels)
             if label == args.only_label
         )
-    labels = _parse_labels(args.labels)
     # no sequence (left) is the corpus's fault; a bad --labels, --t or --r
     # is not
     with _naming_input(args, EmptyInput):
@@ -175,10 +175,11 @@ def cmd_relevance(args) -> int:
     from .mining import relevance_scores
 
     records = _load(args)
+    labels = records.labels
     with _naming_input(args):
-        if any(label is None for label in records.labels):
+        if None in labels:
             raise ValueError("relevance needs a 0/1 label on every record")
-        table = relevance_scores(list(zip(records.sequences, records.labels)))
+        table = relevance_scores(zip(records.sequences, labels))
     writer = csv.writer(sys.stdout)
     writer.writerow(("i", "j", "W", "L", "R"))
     for a, b, score, wins, losses in table.rows():
@@ -198,19 +199,18 @@ def cmd_baseline(args) -> int:
     )
     from .io import save_matrix_csv
 
+    needed = {"dbscan": "eps", "hier": "threshold"}[args.algo]
+    if getattr(args, needed) is None:
+        raise ValueError(f"--algo {args.algo} needs --{needed}")
+    labels = _parse_labels(args.labels)
     records = _load(args)
     with _naming_input(args):
         if not records.rows:
             raise ValueError("baseline clustering needs at least one sequence")
-    labels = _parse_labels(args.labels)
     points = MatrixPointSet.from_sequences(records.sequences, labels)
     if args.algo == "dbscan":
-        if args.eps is None:
-            raise ValueError("--algo dbscan needs --eps")
         clusters, _ = dbscan(points, args.eps, min_samples=args.min_samples)
     else:
-        if args.threshold is None:
-            raise ValueError("--algo hier needs --threshold")
         clusters = cut(hierarchical(points), args.threshold)
     writer = csv.writer(sys.stdout)
     writer.writerow(("index", "cluster"))

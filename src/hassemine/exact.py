@@ -12,13 +12,15 @@ which takes seconds, and the result could not be printed anyway.
 A count (a candidate size cap, a DBSCAN min_samples, a number of
 episodes, a step cap) is a positive int, and a class label is the int 0
 (lose) or 1 (win). A bool is neither, although Python counts True as 1,
-and neither is a float such as 2.0 or 1.0.
+and neither is a float such as 2.0 or 1.0. An index (a dendrogram id,
+a cluster member) is what operator.index reads, except a bool.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import index
 
 #: CPython's default limit on the digits of an int read from or written
 #: to a decimal string (sys.set_int_max_str_digits).
@@ -58,3 +60,10 @@ def is_count(value) -> bool:
 def is_class_label(value) -> bool:
     """Whether value is the int 0 or 1; True, False, 1.0 and 0.0 are not."""
     return type(value) is int and value in (0, 1)
+
+
+def exact_index(value) -> int:
+    """operator.index(value); a bool raises TypeError, as a float does."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an index: {value!r}")
+    return index(value)

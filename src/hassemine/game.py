@@ -42,6 +42,14 @@ from .graphs import LabelTable
 V1_EVENTS = LabelTable(tuple(f"e{i}" for i in range(1, 11)))
 V2_EVENTS = LabelTable(tuple(f"e{i}" for i in range(1, 13)))
 
+
+def _version_events(version) -> LabelTable:
+    """The event universe of game version 1 or 2, an int (not True or 1.0)."""
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unknown game version {version!r}")
+    return V1_EVENTS if version == 1 else V2_EVENTS
+
+
 # Map legend: '#' wall, '.' floor, 'R' rock, 'K' key, 'E' explosive,
 # 'D' door, 'C' coin, 'S' start.
 V1_GRID = (
@@ -111,8 +119,7 @@ class GameConfig:
     seed: int
 
     def __post_init__(self):
-        if self.version not in (1, 2):
-            raise ValueError(f"unknown game version {self.version!r}")
+        _version_events(self.version)  # refuses any other version
         if self.version == 1 and (len(self.rocks) != 1 or self.coin is not None):
             raise ValueError("version 1 needs exactly one rock and no coin")
         if self.version == 2 and (len(self.rocks) != 2 or self.coin is None):
@@ -268,12 +275,7 @@ def extract_events(moves, version) -> EventSequence:
     A full raw log is accepted too: moves that are not events, such as
     ("move", "north") or ("blocked", "wall"), are dropped.
     """
-    if version == 1:
-        universe = V1_EVENTS
-    elif version == 2:
-        universe = V2_EVENTS
-    else:
-        raise ValueError(f"unknown game version {version!r}")
+    universe = _version_events(version)
     labels = []
     for move in moves:
         code = _EVENT_CODES.get(tuple(move))

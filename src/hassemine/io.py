@@ -3,7 +3,10 @@
 A sequence file is JSON Lines: an optional header record declaring the
 event universe, then one record per sequence. A line ends at "\n", "\r\n"
 or "\r" and nowhere else: JSON strings may hold U+0085, U+2028 and U+2029
-unescaped, and `json.dumps(..., ensure_ascii=False)` writes them so.
+unescaped, and `json.dumps(..., ensure_ascii=False)` writes them so. A
+line of spaces and tabs only is blank and skipped; any other line is one
+JSON record, so a line holding only a form feed, "\v", U+0085 or U+2028
+is invalid JSON (JSON's whitespace is space, tab, "\n" and "\r").
 
     {"universe": ["e1", "e2", "e5"]}
     {"events": ["e2", "e5"], "label": 1}
@@ -119,7 +122,7 @@ def parse_sequences(text: str, universe=None) -> SequenceRecords:
             rows.append({**record, "events": list(record["events"])})
             lines.append(index)
             continue
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             record = json.loads(line)

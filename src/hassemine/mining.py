@@ -444,52 +444,35 @@ class RelevanceTable:
         return rows
 
 
-def _episode_universe(s: AnySequence, label, universe):
-    """The universe of a valid episode (s, label); `universe` is that of
-    the episodes before it, None for the first."""
-    if not is_class_label(label):
-        raise ValueError(f"class label must be 0 or 1, got {label!r}")
-    if universe is None:
-        return s.universe
-    if s.universe is not universe and s.universe != universe:
-        raise LabelMismatch("all episodes must share one universe")
-    return universe
-
-
 def relevance_scores(episodes: Iterable[tuple[AnySequence, int]]) -> RelevanceTable:
     """Score ordered label pairs by how exclusively winners exhibit them.
 
     episodes pairs each sequence with a class label, the int 1 (win) or
     0 (lose); both classes must be present. The score of (i, j) is the
     winners' rate of 'both occur, i entirely first' divided by the losers'
-    rate. Each distinct (sequence, label) pair is checked once, in
-    first-seen order; each class's counts are the sum of its distinct
-    order matrices, each weighted by its multiplicity.
+    rate. The episodes are checked in order, each against the first
+    one's universe; each class is counted once from the list of its
+    sequences and read as its distinct order matrices, each weighted by
+    its multiplicity.
     """
-    episodes = list(episodes)
-    try:
-        # the label's type is part of the key, so True is not counted as 1
-        pairs = Counter((s, type(label), label) for s, label in episodes)
-    except (TypeError, ValueError):
-        # an episode that is not a pair, or an unhashable label: checking
-        # the episodes in order raises the first fault among them
-        universe = None
-        for s, label in episodes:
-            universe = _episode_universe(s, label, universe)
-        raise
     universe = None
-    classes = (Counter(), Counter())  # [lose, win]: each sequence's count
-    for (s, _, label), c in pairs.items():
-        universe = _episode_universe(s, label, universe)
-        classes[label][s] += c
-    n_lose, n_win = (cls.total() for cls in classes)
+    members = ([], [])  # [lose, win]: each class's sequences
+    for s, label in episodes:
+        if not is_class_label(label):
+            raise ValueError(f"class label must be 0 or 1, got {label!r}")
+        if universe is None:
+            universe = s.universe
+        elif s.universe is not universe and s.universe != universe:
+            raise LabelMismatch("all episodes must share one universe")
+        members[label].append(s)
+    n_lose, n_win = map(len, members)
     if n_win == 0 or n_lose == 0:
         raise MissingClass("need at least one episode of each class")
     table = _analysis_table(universe.labels)
     m = len(table)
     counts = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # [lose, win]
-    for cls, target in zip(classes, counts):
-        for rows, c in _encode(cls, table).items():
+    for seqs, target in zip(members, counts):
+        for rows, c in _encode(Counter(seqs), table).items():
             for i, row in enumerate(rows):
                 for j in _bit_indices(row):
                     target[i][j] += c

@@ -30,7 +30,9 @@ that read each label's span from `positions()`, the corpus encoding as
 distinct keys plus each sequence's slot among them, and the relevance
 scoring that checked every episode and tallied the (slot, label) pairs,
 as they ran before one scan per key, keys with multiplicities and one
-count of the distinct (sequence, label) pairs; the relevance
+count of the distinct (sequence, label) pairs; that count, with its
+in-order recheck when the count raised, as it ran before one in-order
+pass that lists each class's sequences; the relevance
 row order that keyed each row by its rank and label positions before one
 stable sort on the rank; the sequence
 file parser that decoded, checked and built a sequence for every line,
@@ -69,11 +71,13 @@ from hassemine import (
     seq_to_matrix,
 )
 from hassemine.enumeration import enumerate_category
+from hassemine.exact import is_class_label
 from hassemine.graphs import _bit_indices, _closure_rows, _pack_rows, _transpose
 from hassemine.sequences import (
     EventSequence,
     SubsetSequence,
     _analysis_table,
+    _encode,
     as_subset_sequence,
     flattenings,
     is_consistent,
@@ -911,6 +915,51 @@ def relevance_scores_by_slots(episodes):
     )
 
 
+def relevance_scores_by_pairs(episodes):
+    """relevance_scores as it was before it checked the episodes in one
+    pass: the distinct (sequence, type(label), label) triples are counted
+    first, the label's type in the key so that True is not counted as 1,
+    and each is then checked in first-seen order; when the count raises
+    (an episode that is not a pair, or an unhashable label), the episodes
+    are checked again in order to raise the first fault among them."""
+
+    def episode_universe(s, label, universe):
+        if not is_class_label(label):
+            raise ValueError(f"class label must be 0 or 1, got {label!r}")
+        if universe is None:
+            return s.universe
+        if s.universe is not universe and s.universe != universe:
+            raise LabelMismatch("all episodes must share one universe")
+        return universe
+
+    episodes = list(episodes)
+    try:
+        pairs = Counter((s, type(label), label) for s, label in episodes)
+    except (TypeError, ValueError):
+        universe = None
+        for s, label in episodes:
+            universe = episode_universe(s, label, universe)
+        raise
+    universe = None
+    classes = (Counter(), Counter())  # [lose, win]: each sequence's count
+    for (s, _, label), c in pairs.items():
+        universe = episode_universe(s, label, universe)
+        classes[label][s] += c
+    n_lose, n_win = (cls.total() for cls in classes)
+    if n_win == 0 or n_lose == 0:
+        raise MissingClass("need at least one episode of each class")
+    table = _analysis_table(universe.labels)
+    m = len(table)
+    counts = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # [lose, win]
+    for cls, target in zip(classes, counts):
+        for rows, c in _encode(cls, table).items():
+            for i, row in enumerate(rows):
+                for j in _bit_indices(row):
+                    target[i][j] += c
+    lose_counts, win_counts = (tuple(map(tuple, target)) for target in counts)
+    return RelevanceTable(universe, n_win, n_lose, win_counts, lose_counts)
+
+
 def relevance_rows_ranked(table):
     """RelevanceTable.rows as it was before it sorted on the rank alone:
     each row keyed by (rank, i, j), with the label positions breaking
@@ -1014,12 +1063,13 @@ def check_consistency_equivalences(s: EventSequence, w: Digraph) -> bool:
 def parse_sequences_per_line(text: str, universe=None) -> SequenceRecords:
     """parse_sequences as it was before it read each distinct line once:
     every line is decoded and checked, and builds its own sequence. Lines
-    end at "\n", "\r\n" and "\r", as in the parser."""
+    end at "\n", "\r\n" and "\r", and a line of spaces and tabs is blank,
+    as in the parser."""
     header_table = None
     rows = []
     numbers = []
     for number, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             record = json.loads(line)

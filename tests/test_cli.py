@@ -26,7 +26,9 @@ Claims covered:
   naming the file on a corpus with no sequences;
 - mine with no sequence (left after --only-label), and relevance without
   both classes or with an unlabelled record, exit 2 naming the file; a
-  bad option on a good file does not name it;
+  bad option on a good file does not name it; a missing --eps or
+  --threshold, or a --labels with no label, is reported before the file
+  is read, so it wins over a missing, header-only or malformed file;
 - usage errors (no command, unknown flags, missing files) exit 2, and so
   do malformed sequence files, bytes that are not UTF-8 and nesting too
   deep to decode included, with the file name and the offending line in
@@ -494,6 +496,27 @@ def test_option_errors_do_not_name_the_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "mine", "--in", str(path), "--labels", "a,b", "--r", "0")
     assert (code, out) == (2, "")
     assert err == "error: candidate size cap must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("baseline", "--algo", "dbscan", "--labels", "a,b"), "--algo dbscan needs --eps"),
+        (("baseline", "--algo", "hier", "--labels", "a,b"), "--algo hier needs --threshold"),
+        (("baseline", "--algo", "hier", "--threshold", "1", "--labels", ","), "no labels in ','"),
+        (("mine", "--labels", ","), "no labels in ','"),
+    ],
+    ids=["baseline eps", "baseline threshold", "baseline labels", "mine labels"],
+)
+@pytest.mark.parametrize("content", [None, "header", "malformed"])
+def test_option_errors_come_before_file_errors(tmp_path, capsys, argv, message, content):
+    path = tmp_path / "corpus.jsonl"
+    if content == "header":
+        path.write_text(dump_sequences(LabelTable(("a", "b")), []))
+    elif content == "malformed":
+        path.write_text('{"universe": ["a", "b"]}\n{"events": ["z"]}\n')
+    code, out, err = run_cli(capsys, *argv, "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan"])

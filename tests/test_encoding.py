@@ -17,7 +17,12 @@ Claims covered:
   identical, and keys that differ only in their occurrence masks; a table
   label missing from some universe raises the same LabelNotInUniverse;
   relevance_scores gives what the slot tally it replaced gives, or raises
-  the same error, also when one sequence appears in both classes;
+  the same error, also when one sequence appears in both classes; on
+  valid and faulty episodes (labels True, False, 1.0, None, "1", [1] and
+  2, list, three-item and non-iterable episodes, equal but not identical
+  or mismatched universes, list or iterator input) it gives what the
+  count of distinct (sequence, label) pairs it replaced gives, or raises
+  the same exception with the same message;
 - the encoder keeps the error behaviour of the per-sequence code: an empty
   point set needs no labels, an empty common matrix raises EmptyInput,
   the label cap is checked before the universes, every distinct universe
@@ -65,6 +70,7 @@ from oracles import (
     order_key_positions,
     order_rows_oracle,
     relevance_counts_oracle,
+    relevance_scores_by_pairs,
     relevance_scores_by_slots,
 )
 
@@ -187,6 +193,47 @@ def test_relevance_matches_the_slot_oracle(corpus, data):
     labels = data.draw(st.lists(st.sampled_from((0, 1)), min_size=len(corpus), max_size=len(corpus)))
     episodes = list(zip(corpus, labels))
     assert _outcome(relevance_scores, episodes) == _outcome(relevance_scores_by_slots, episodes)
+
+
+def _any_outcome(score, episodes):
+    try:
+        return score(episodes)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# mostly valid, so that a run meets tables as well as each fault
+_LABELS = st.sampled_from((0, 1) * 20 + (True, False, 1.0, None, "1", [1], 2))
+_SHAPES = st.sampled_from(("pair",) * 30 + ("list", "list", "triple", "bare"))
+
+
+def _episode(s, label, shape):
+    return {"pair": (s, label), "list": [s, label], "triple": (s, label, "x"), "bare": 5}[shape]
+
+
+def _episodes(pool):
+    """Two to twelve episodes, their sequences drawn from the pool."""
+    one = st.tuples(st.sampled_from(pool), _LABELS, _SHAPES)
+    return st.lists(one.map(lambda d: _episode(*d)), min_size=2, max_size=12)
+
+
+_POOLS = st.lists(
+    st.sampled_from((U1, U1, U1_COPY, U3)).flatmap(_sequences), min_size=1, max_size=4
+)
+_A, _B = EventSequence(U1, ("a",)), EventSequence(U1, ("b",))
+
+
+@given(_POOLS.flatmap(_episodes))
+@example([])
+@example([(_A, 1), (EventSequence(U3, ("a",)), True)])  # the label is checked first
+@example([(_A, 1), (_B, 0), (_B, [1])])  # an unhashable label
+@example([(_A, 1), (_B, True), (_B, 0, "x")])  # a bool before a three-item episode
+def test_relevance_matches_the_pair_count_oracle(episodes):
+    """Valid and faulty episodes alike: the same table, or the same
+    exception type and message, from a list and from an iterator."""
+    expected = _any_outcome(relevance_scores_by_pairs, episodes)
+    assert _any_outcome(relevance_scores, episodes) == expected
+    assert _any_outcome(relevance_scores, iter(episodes)) == expected
 
 
 def test_relevance_of_a_sequence_in_both_classes():

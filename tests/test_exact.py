@@ -17,7 +17,12 @@ Claims covered:
   simulate's episode number and a game's step cap each refuse 0, a bool
   and a float with their own ValueError;
 - a class label is the int 0 or 1: the parser, relevance scoring and an
-  Episode each refuse true, false, 1.0 and 0.0 with their own ValueError.
+  Episode each refuse true, false, 1.0 and 0.0 with their own ValueError;
+- a game version is the int 1 or 2: a config from a grid and the event
+  extraction each refuse True, 1.0 and 2.0 with their own ValueError;
+- an index is what operator.index reads, except a bool: a dendrogram's
+  leaf count and cluster ids and a cluster member each refuse True and
+  False with their own ValueError.
 """
 
 from __future__ import annotations
@@ -28,9 +33,24 @@ from fractions import Fraction
 import pytest
 
 from hassemine import EventSequence, InvalidThreshold, LabelTable, parse_sequences
-from hassemine.baselines import Dendrogram, MatrixPointSet, cut, dbscan
-from hassemine.exact import exact_fraction, is_class_label, is_count
-from hassemine.game import Episode, corrupt_sequences, simulate, v1_config
+from hassemine.baselines import (
+    Dendrogram,
+    MatrixPointSet,
+    cluster_common_matrices,
+    cut,
+    dbscan,
+)
+from hassemine.exact import exact_fraction, exact_index, is_class_label, is_count
+from hassemine.game import (
+    V1_GRID,
+    V2_GRID,
+    Episode,
+    GameConfig,
+    corrupt_sequences,
+    extract_events,
+    simulate,
+    v1_config,
+)
 from hassemine.mining import hasse_cluster, relevance_scores
 
 TABLE = LabelTable(("a", "b", "c"))
@@ -128,3 +148,37 @@ def test_class_labels_are_the_ints_0_and_1():
         route = "door" if bad else "none"
         with pytest.raises(ValueError, match="^episode label must be 0 or 1, got "):
             Episode(seq, bad, route, 0, "p")
+
+
+def test_game_versions_are_the_ints_1_and_2_in_a_grid_config():
+    assert GameConfig.from_grid(1, V1_GRID, 40, 0).version == 1
+    for bad, grid in ((True, V1_GRID), (1.0, V1_GRID), (2.0, V2_GRID)):
+        with pytest.raises(ValueError, match=f"^unknown game version {bad!r}$"):
+            GameConfig.from_grid(bad, grid, 40, 0)
+
+
+def test_game_versions_are_the_ints_1_and_2_in_event_extraction():
+    moves = [("collect", "key"), ("end", "key_missing")]
+    assert extract_events(moves, 1).events == ("e1", "e3")
+    for bad in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^unknown game version {bad!r}$"):
+            extract_events(moves, bad)
+
+
+def test_dendrogram_ids_are_not_bools():
+    assert Dendrogram(1, ()).n_leaves == 1
+    with pytest.raises(TypeError):
+        exact_index(True)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"^n_leaves must be an integer, got {flag}$"):
+            Dendrogram(flag, ())
+        with pytest.raises(ValueError, match="^merge 0 joins non-integer cluster ids "):
+            Dendrogram(2, ((flag, 1 - flag, 0),))
+
+
+def test_cluster_members_are_not_bools():
+    seqs = [EventSequence(TABLE, ("a",)), EventSequence(TABLE, ("b", "a"))]
+    assert cluster_common_matrices([[1]], seqs, ("a", "b"))[0].rows == (0, 1)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"^cluster member {flag} is not an index in 0..1$"):
+            cluster_common_matrices([[flag]], seqs, ("a", "b"))

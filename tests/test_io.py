@@ -11,6 +11,8 @@ Claims covered:
 - no other character ends a line: labels holding a raw U+0085, U+2028 or
   U+2029 (which JSON strings may hold) parse and load, and a form feed
   between two records leaves one line of invalid JSON;
+- only a line of spaces and tabs is blank: a line holding only a form
+  feed, \v, \x1c, U+0085 or U+2028 is invalid JSON named by its line;
 - each malformed record fails with a ValueError naming its file line:
   invalid JSON (nesting too deep to decode and an integer too long to
   convert included), events that are a string or hold a non-string,
@@ -117,6 +119,14 @@ def test_line_separators_inside_strings_are_kept(tmp_path, separator):
 def test_form_feed_does_not_end_a_line():
     with pytest.raises(ValueError, match=r"^line 2: invalid JSON at column 18: Extra data$"):
         parse_sequences(HEADER + '{"events": ["a"]}\f{"events": ["b"]}\n')
+
+
+@pytest.mark.parametrize("space", ["\f", "\v", "\x1c", "\x85", "\u2028", " \f\t"])
+def test_only_spaces_and_tabs_make_a_blank_line(space):
+    blank = HEADER + ' \t\n{"events": ["a"]}\n\t\n'
+    assert [row["events"] for row in parse_sequences(blank).rows] == [["a"]]
+    with pytest.raises(ValueError, match=r"^line 3: invalid JSON at column \d+: Expecting value$"):
+        parse_sequences(HEADER + '{"events": ["a"]}\n' + space + '\n{"events": ["b"]}\n')
 
 
 def test_universe_override_and_headerless():
